@@ -48,7 +48,10 @@ def parse_fraction(text: str) -> Fraction:
     text = text.strip()
     if "." in text:
         raise ValueError(f"decimal notation not allowed, use p/q: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 @dataclass(frozen=True)

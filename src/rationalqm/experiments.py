@@ -69,7 +69,10 @@ def mz_simulate(phi: RationalAngle) -> MZReport:
         half = phi.radians(PRECISION_BITS) / 2
         residual = max(abs(abs(amp_cross) ** 2 - mpmath.sin(half) ** 2),
                        abs(abs(amp_keep) ** 2 - mpmath.cos(half) ** 2))
-        assert residual < RESIDUAL_TOL
+        if not residual < RESIDUAL_TOL:
+            raise ArithmeticError(
+                f"interferometer probabilities off by {float(residual):.3g} "
+                f"at phi = {phi.turns} of a turn")
 
     cert = niven_cosine(phi)
     if cert.is_rational:
@@ -210,6 +213,9 @@ def uncertainty_check(cosines: Sequence[CosineValue],
             sigma = mpmath.sqrt(_mpf(lhs_sq))
         mu = abs(c)
     else:
+        if not all(mpmath.isfinite(v) for v in cosines):
+            raise ValueError("direction cosines must be finite, got "
+                             + ", ".join(str(v) for v in cosines))
         with mpmath.workprec(PRECISION_BITS):
             mc, mcp, mcpp = _mpf(c), _mpf(cp), _mpf(cpp)
             if abs(mc ** 2 + mcp ** 2 + mcpp ** 2 - 1) > tol:
@@ -396,8 +402,61 @@ class BellReport:
 
 
 def _pair_seed(seed: int, index: int) -> int:
-    # Disjoint deterministic streams per sub-ensemble.
+    # Disjoint deterministic streams per sub-ensemble; needs seed >= 0,
+    # because random.Random seeds with abs() and would fold -s onto s.
     return seed * 1_000_003 + index
+
+
+# Most 32-bit words drawn per round; bounds the big ints a round holds.
+_MAX_LANES = 1 << 14
+
+
+def _sum_at_uniform_positions(values: Sequence[int], trials: int,
+                              rng: random.Random) -> int:
+    """Return sum(values[rng.randrange(L)] for _ in range(trials)), with
+    L = len(values), drawing exactly the same numbers from `rng`.
+
+    randrange(L) redraws getrandbits(k), k = L.bit_length(), while the result
+    is >= L, and getrandbits(k) is one Mersenne Twister word shifted right by
+    32 - k. getrandbits(32 * n) packs the next n words, least significant
+    first, so a round reads n words as one int and holds each draw in the low
+    k bits of its 32-bit lane. Adding 2^k - c to every lane sets bit k
+    exactly in the lanes whose draw is >= c, so one add, one mask and one
+    bit_count count the lanes below c. With c at each boundary between runs
+    of equal values, and at L, a round costs one count per run. A round
+    draws no more words than there are trials left, so it never reads past
+    the last accepted draw.
+    """
+    L = len(values)
+    if L < 1:
+        raise ValueError("need at least one value to sample from")
+    k = L.bit_length()
+    if k > 31:
+        raise ValueError(f"L = {L} needs {k} bits per draw; at most 31 fit "
+                         f"a 32-bit lane with its carry bit")
+    # Runs of equal values: run j holds run_values[j] on [cuts[j-1], cuts[j]).
+    starts = [i for i in range(1, L) if values[i] != values[i - 1]]
+    run_values = [values[0]] + [values[i] for i in starts]
+    cuts = starts + [L]
+    total = 0
+    lanes = 0
+    while trials > 0:
+        n = min(trials, _MAX_LANES)
+        if n != lanes:
+            lanes = n
+            ones = ((1 << (32 * n)) - 1) // 0xFFFFFFFF  # 1 in every lane
+            draw_mask = ones * ((1 << k) - 1)
+            carry_mask = ones << k
+            offsets = [ones * ((1 << k) - c) for c in cuts]
+        draws = (rng.getrandbits(32 * n) >> (32 - k)) & draw_mask
+        below = [n - ((draws + off) & carry_mask).bit_count() for off in offsets]
+        accepted = below[-1]
+        previous = 0
+        for value, count in zip(run_values, below):
+            total += value * (count - previous)
+            previous = count
+        trials -= accepted
+    return total
 
 
 def _singlet_pair_correlation(relative_turns: Fraction, L: int, trials: int,
@@ -411,11 +470,8 @@ def _singlet_pair_correlation(relative_turns: Fraction, L: int, trials: int,
     # to the front, and the halving dynamics reads exactly that position on
     # both strings; sampling the position directly draws from the same
     # distribution without materialising the full permutation each trial.
-    rng = random.Random(stream_seed)
-    total = 0
-    for _ in range(trials):
-        pos = rng.randrange(L)
-        total += top[pos] * bottom[pos]
+    products = [a * b for a, b in zip(top, bottom)]
+    total = _sum_at_uniform_positions(products, trials, random.Random(stream_seed))
     corr = total / trials
     se = math.sqrt(max(0.0, 1.0 - corr * corr) / trials)
     return PairStats(label=label, relative_turns=relative_turns,
@@ -436,6 +492,8 @@ def bell_run(nominal_a: Fraction, nominal_b: Fraction, nominal_c: Fraction,
             f"trials_per_pair = {trials_per_pair} < 100 is statistically meaningless")
     if L % 2 != 0:
         raise ValueError(f"singlet construction needs even L, got {L}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     labels = [("AB", nominal_a, nominal_b),
               ("AC", nominal_a, nominal_c),
               ("BC", nominal_b, nominal_c)]

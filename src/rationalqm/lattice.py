@@ -198,7 +198,8 @@ def build_spinorial_circle(L: int) -> List[Bits]:
             else:
                 p = (p - 1) % size
             out.append(half[p] + half[q])
-    assert out[-1] == out[0]
+    if out[-1] != out[0]:
+        raise RuntimeError(f"spinorial circle at L={L} does not close")
     return out[:-1]
 
 

@@ -262,7 +262,8 @@ def counterfactual_setting_change(state: TwoQubitState,
                             shift_plus=new_params.shift_plus,
                             shift_minus=new_params.shift_minus)
     changed = make_two_qubit(params, state.L, state.xi)
-    assert changed.top == state.top, "locality violated: top string changed"
+    if changed.top != state.top:
+        raise RuntimeError("locality violated: top string changed")
     return changed
 
 

@@ -121,6 +121,28 @@ class TestExitCodes:
         assert code == 3
         assert "lattice-unrealisable" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("niven", "--turns", "1/0"),
+        ("itc", "--cos-ab", "1/0", "--cos-bc", "1/2", "--turns", "1/4"),
+        ("bell", "--angles", "0,1/0,1/3", "--L", "360", "--trials", "1000",
+         "--seed", "1"),
+    ])
+    def test_zero_denominator(self, capsys, argv):
+        code, _, _ = run(capsys, *argv)
+        assert code == 2
+
+    @pytest.mark.parametrize("cosines", ["nan,0,1", "inf,0,1", "0,-inf,1"])
+    def test_non_finite_cosines(self, capsys, cosines):
+        code, _, err = run(capsys, "uncertainty", "--cosines", cosines)
+        assert code == 2
+        assert "finite" in err
+
+    def test_negative_bell_seed(self, capsys):
+        code, _, err = run(capsys, "bell", "--angles", "0,1/6,1/3", "--L", "360",
+                           "--trials", "1000", "--seed", "-1")
+        assert code == 2
+        assert "seed" in err
+
     def test_tiny_bell_run(self, capsys):
         code, _, err = run(capsys, "bell", "--angles", "0,1/6,1/3", "--L", "360",
                            "--trials", "10", "--seed", "1")

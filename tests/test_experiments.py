@@ -2,10 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
+from rationalqm import experiments
 from rationalqm.exact import RationalAngle
-from rationalqm.experiments import (SnapInfeasibleError, aggregate_directions,
+from rationalqm.experiments import (SnapInfeasibleError,
+                                    _sum_at_uniform_positions,
+                                    aggregate_directions,
                                     bell_run, bellsum_definability,
                                     delayed_choice, exact_setting,
                                     identity_split_check, mz_simulate,
@@ -17,6 +21,12 @@ from rationalqm.states import HiddenPermutation, make_singlet
 
 def angle(text):
     return RationalAngle.from_string(text)
+
+
+def reference_position_sum(values, trials, rng):
+    """The per-trial loop that the bulk sampler reproduces draw for draw."""
+    L = len(values)
+    return sum(values[rng.randrange(L)] for _ in range(trials))
 
 
 class TestMachZehnder:
@@ -35,6 +45,12 @@ class TestMachZehnder:
         report = mz_simulate(angle("1/6"))
         assert report.output_definable
         assert report.output_probabilities == (Fraction(1, 4), Fraction(3, 4))
+
+    def test_residual_check_survives_optimisation(self, monkeypatch):
+        # a real exception, not an assert that python -O strips
+        monkeypatch.setattr(experiments, "RESIDUAL_TOL", mpmath.mpf(-1))
+        with pytest.raises(ArithmeticError):
+            mz_simulate(angle("1/7"))
 
     def test_fifth_turn_output_undefinable(self):
         report = mz_simulate(angle("1/5"))
@@ -219,6 +235,32 @@ class TestBellHarness:
             assert -1 <= p.correlation <= 1
             assert p.trials == 500
 
+    def test_rejects_negative_seed(self):
+        # random.Random seeds with abs(), so seed -1 would replay seed 1's
+        # AB stream (pair seeds -1000003 and 1000003)
+        with pytest.raises(ValueError):
+            bell_run(Fraction(0), Fraction(1, 6), Fraction(1, 3), 360, 1000, -1)
+
+    # Per-pair sums of trial products (correlation * trials) at angles
+    # 0, 1/6, 1/3 with 2^14 + 5 trials, as drawn by the per-trial
+    # randrange loop.
+    GOLDEN_TOTALS = {
+        (360, 0): (-8263, 8167, -8145),
+        (360, 7): (-8315, 8127, -8383),
+        (720, 2): (-8207, 8089, -8381),
+        (720, 11): (-8355, 8047, -8157),
+        (1024, 1): (-7961, 8185, -8181),
+        (1024, 123): (-8137, 8103, -8043),
+    }
+
+    @pytest.mark.parametrize("L, seed", sorted(GOLDEN_TOTALS))
+    def test_golden_correlations(self, L, seed):
+        trials = 2 ** 14 + 5
+        report = bell_run(Fraction(0), Fraction(1, 6), Fraction(1, 3),
+                          L, trials, seed)
+        assert [p.correlation for p in report.pairs] == [
+            total / trials for total in self.GOLDEN_TOTALS[L, seed]]
+
     def test_deterministic_given_seed(self):
         a = bell_run(Fraction(0), Fraction(1, 6), Fraction(1, 3), 360, 500, 11)
         b = bell_run(Fraction(0), Fraction(1, 6), Fraction(1, 3), 360, 500, 11)
@@ -257,6 +299,35 @@ class TestBellHarness:
             pos = xi.front_source
             assert single_trial_outcomes(Fraction(1, 2), 8, seed) == (
                 state.top_canonical[pos], state.bottom_canonical[pos])
+
+
+class TestUniformPositionSum:
+    @pytest.mark.parametrize("L", [2, 3, 4, 256, 360, 361, 1024])
+    @pytest.mark.parametrize("trials", [1, 2 ** 14, 2 ** 14 + 1])
+    def test_matches_randrange_loop(self, L, trials):
+        g = random.Random(L)
+        cases = [[g.randrange(-2, 3) for _ in range(L)],
+                 [1 if 3 * i < L else -1 if 3 * i < 2 * L else 1
+                  for i in range(L)]]
+        for values in cases:
+            bulk, loop = random.Random(L * trials), random.Random(L * trials)
+            assert (_sum_at_uniform_positions(values, trials, bulk)
+                    == reference_position_sum(values, trials, loop))
+            assert bulk.getstate() == loop.getstate()
+
+    def test_odd_L_golden(self):
+        # the reference loop gives 576 here and leaves the stream so that
+        # the next random() is 0.3273901190152425
+        values = [(-1) ** (i // 7) * (1 + i % 3) for i in range(361)]
+        rng = random.Random(2024)
+        assert _sum_at_uniform_positions(values, 2 ** 14 + 1, rng) == 576
+        assert rng.random() == 0.3273901190152425
+
+    def test_rejects_draws_wider_than_a_lane(self):
+        with pytest.raises(ValueError):
+            _sum_at_uniform_positions(range(2 ** 31), 1, random.Random(0))
+        with pytest.raises(ValueError):
+            _sum_at_uniform_positions([], 1, random.Random(0))
 
 
 class TestBellSum:

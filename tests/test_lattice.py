@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rationalqm import lattice
 from rationalqm.lattice import (I_GENERATOR, LatticePoint, PNO, QUATERNIONS,
                                 apply_i, block_string, build_spinorial_circle,
                                 canonical_bitstring, cos_theta,
@@ -182,6 +183,19 @@ class TestSpinorialCircle:
             assert len(circle) == 2 * L
             assert len(set(circle)) == 2 * L
             assert all(len(s) == L for s in circle)
+
+    def test_closure_check_survives_optimisation(self, monkeypatch):
+        # a half circle of the wrong length cannot close the cycle; the
+        # check is a real exception, not an assert that python -O strips
+        build = lattice.build_spinorial_circle
+
+        def overlong(L):
+            circle = build(L)
+            return circle + [circle[1]] if L == 4 else circle
+
+        monkeypatch.setattr(lattice, "build_spinorial_circle", overlong)
+        with pytest.raises(RuntimeError, match="does not close"):
+            lattice.build_spinorial_circle(8)
 
     def test_antipodal_halves(self):
         # a 2pi rotation is global negation; the second L strings are the

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -245,6 +246,13 @@ class TestCounterfactual:
         changed = counterfactual_setting_change(state, singlet_params(Fraction(1, 2)))
         assert changed.top == state.top
         assert changed.bottom == state.bottom
+
+    def test_top_string_mismatch_raises(self):
+        # a real exception, not an assert that python -O strips
+        state = make_singlet(Fraction(1, 2), 8, HiddenPermutation.from_seed(1, 8))
+        tampered = dataclasses.replace(state, top=tuple(-b for b in state.top))
+        with pytest.raises(RuntimeError, match="locality"):
+            counterfactual_setting_change(tampered, singlet_params(Fraction(-1, 2)))
 
     def test_selected_outcome_unchanged(self):
         for seed in range(30):
