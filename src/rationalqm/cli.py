@@ -26,17 +26,23 @@ from .experiments import (SnapInfeasibleError, bell_run, delayed_choice,
                           exact_setting, mz_simulate,
                           position_momentum_aggregate, sg_counterfactual,
                           uncertainty_check)
-from .lattice import LatticePoint, iter_lattice, canonical_bitstring, lattice_to_csv
-from .reduction import measure, to_integer_pair
+from .lattice import (LatticePoint, canonical_bitstring, iter_lattice,
+                      lattice_size, lattice_to_csv)
+from .reduction import measure
 from .states import (HiddenPermutation, LatticeUnrealisableError, make_qubit,
                      make_singlet, qubit_to_json, two_qubit_to_json)
 
 SCHEMA_VERSION = 1
 
+# Exact types, so that subclasses such as str-valued Enums are converted.
+_JSON_LEAVES = frozenset((str, int, float, bool, type(None)))
+
 
 def to_jsonable(obj: Any) -> Any:
     """Recursively convert reports to JSON-friendly values; fractions become
     'p/q' strings so exactness survives the round trip."""
+    if type(obj) in _JSON_LEAVES:
+        return obj
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, enum.Enum):
@@ -98,22 +104,22 @@ def _angle(text: str) -> RationalAngle:
 # ---------------------------------------------------------------------------
 
 def cmd_sphere(args) -> int:
-    points = list(iter_lattice(args.L))
+    count = lattice_size(args.L)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             lattice_to_csv(args.L, fh)
+    points = list(iter_lattice(args.L)) if args.L <= 8 else []
     report = {
         "L": args.L,
-        "points": len(points),
+        "points": count,
         "rows": [{"m": p.m, "n": p.n, "cos_theta": p.cos_theta,
                   "bits": list(canonical_bitstring(p))}
                  for p in points] if args.L <= 8 else None,
     }
-    lines = [f"lattice at L={args.L}: {len(points)} points"]
-    if args.L <= 8:
-        for p in points:
-            bits = "".join("+" if b == 1 else "-" for b in canonical_bitstring(p))
-            lines.append(f"  m={p.m:>2} n={p.n:>2} cos_theta={p.cos_theta}  {bits}")
+    lines = [f"lattice at L={args.L}: {count} points"]
+    for p in points:
+        bits = "".join("+" if b == 1 else "-" for b in canonical_bitstring(p))
+        lines.append(f"  m={p.m:>2} n={p.n:>2} cos_theta={p.cos_theta}  {bits}")
     if args.csv:
         lines.append(f"csv written to {args.csv}")
     emit(args, report, lines)
@@ -140,7 +146,7 @@ def cmd_state(args) -> int:
     xi = HiddenPermutation.from_seed(args.seed, args.L)
     if args.singlet_cos is not None:
         state = make_singlet(args.singlet_cos, args.L, xi)
-        record = json.loads(two_qubit_to_json(state))
+        record = two_qubit_to_json(state)
         lines = [f"singlet at cos theta_AB = {args.singlet_cos}, L={args.L}, "
                  f"seed={args.seed}",
                  "top:    " + "".join("+" if b == 1 else "-" for b in state.top),
@@ -150,7 +156,7 @@ def cmd_state(args) -> int:
             raise ValueError("state needs --m (or --singlet-cos)")
         point = LatticePoint(args.m, args.n, args.L)
         state = make_qubit(point, xi)
-        record = json.loads(qubit_to_json(state))
+        record = qubit_to_json(state)
         lines = [f"qubit at (m={args.m}, n={args.n}, L={args.L}), seed={args.seed}",
                  "string: " + "".join("+" if b == 1 else "-" for b in state.string)]
     emit(args, record, lines)
@@ -161,10 +167,10 @@ def cmd_measure(args) -> int:
     xi = HiddenPermutation.from_seed(args.seed, args.L)
     state = make_qubit(LatticePoint(args.m, args.n, args.L), xi)
     trace = measure(state.string)
-    steps = []
-    for pair in trace.steps:
-        plus_bits, minus_bits = pair.bit_strings()
-        steps.append(f"{plus_bits}.-{minus_bits}.")
+    # Halving drops the last digit of both integers, so step k shows the
+    # first L - k digits of the initial pair.
+    plus, minus = trace.initial.bit_strings()
+    steps = [f"{plus[:w]}.-{minus[:w]}." for w in range(len(plus), 0, -1)]
     report = {
         "m": args.m, "n": args.n, "L": args.L, "seed": args.seed,
         "string": list(state.string),
@@ -201,13 +207,8 @@ def cmd_delayed_choice(args) -> int:
 
 def cmd_uncertainty(args) -> int:
     if args.cosines:
-        values = []
-        for part in args.cosines.split(","):
-            part = part.strip()
-            values.append(parse_fraction(part) if "/" in part or part.lstrip("+-").isdigit()
-                          else float(part))
-        report = uncertainty_check(values, tol=None if all(
-            isinstance(v, Fraction) for v in values) else mpmath.mpf(1e-9))
+        report = uncertainty_check([parse_fraction(part)
+                                    for part in args.cosines.split(",")])
         emit(args, report,
              [f"sigma' * sigma'' = {float(report.sigma_product):.6f} "
               f">= |mu| = {float(report.mu_abs):.6f}: {report.holds}",
@@ -244,7 +245,11 @@ def cmd_bell(args) -> int:
                if getattr(args, k, None) is None]
     if missing:
         raise ValueError(f"bell needs {', '.join(missing)} via flags or --config")
-    a, b, c = (parse_fraction(t) for t in args.angles.split(","))
+    angles = [parse_fraction(t) for t in args.angles.split(",")]
+    if len(angles) != 3:
+        raise ValueError(f"bell needs exactly three angles, got {len(angles)}: "
+                         f"{args.angles!r}")
+    a, b, c = angles
     report = bell_run(a, b, c, args.L, args.trials, args.seed)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:

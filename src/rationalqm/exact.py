@@ -52,6 +52,8 @@ def parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
+    except ValueError:
+        raise ValueError(f"not a finite fraction p/q: {text!r}") from None
 
 
 @dataclass(frozen=True)

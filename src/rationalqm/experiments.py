@@ -275,6 +275,8 @@ def position_momentum_aggregate(M: int, seed: int) -> AggregateReport:
     uniform in azimuth, then aggregate the deviation-product bound."""
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)
     directions = [(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2 * math.pi))
                   for _ in range(M)]

@@ -5,9 +5,9 @@ the lattice its complex and quaternionic structure.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, List, Sequence, TextIO, Tuple
 
 Bits = Tuple[int, ...]
@@ -211,6 +211,14 @@ def interpolated_circle(L: int) -> List[Bits]:
     return [block_string(m, L) for m in range(L, -1, -1)]
 
 
+def lattice_size(L: int) -> int:
+    """Number of distinct lattice points at granularity L: L - 1 rings of L
+    longitudes plus the two poles."""
+    if L < 1:
+        raise ValueError(f"L must be positive, got {L}")
+    return L * (L - 1) + 2
+
+
 def iter_lattice(L: int) -> Iterable[LatticePoint]:
     """All distinct lattice points at granularity L (one point per pole)."""
     for m in range(L + 1):
@@ -222,14 +230,23 @@ def iter_lattice(L: int) -> Iterable[LatticePoint]:
 
 
 def lattice_to_csv(L: int, out: TextIO) -> int:
-    """Dump the full lattice as CSV; returns the number of rows written."""
-    writer = csv.writer(out)
-    writer.writerow(["m", "n", "L", "cos_theta", "bits"])
-    count = 0
-    for p in iter_lattice(L):
-        c = p.cos_theta
-        bits = canonical_bitstring(p)
-        writer.writerow([p.m, p.n, p.L, f"{c.numerator}/{c.denominator}",
-                         " ".join(str(b) for b in bits)])
-        count += 1
+    """Dump the full lattice as CSV; returns the number of rows written.
+
+    The rows are those of `csv.writer` (excel dialect: no field needs
+    quoting, lines end in \\r\\n) for the points of `iter_lattice`, with
+    the bits of `canonical_bitstring` space separated. The bits of (m, n)
+    are L consecutive tokens of the block string written twice, so each row
+    is one slice of a string built once per latitude.
+    """
+    count = lattice_size(L)
+    out.write("m,n,L,cos_theta,bits\r\n")
+    for m in range(L + 1):
+        tokens = (["1"] * m + ["-1"] * (L - m)) * 2
+        doubled = " ".join(tokens)
+        starts = list(accumulate((len(t) + 1 for t in tokens), initial=0))
+        c = Fraction(2 * m - L, L)
+        tail = f"{L},{c.numerator}/{c.denominator},"
+        longitudes = (0,) if m in (0, L) else range(L)
+        out.write("".join(f"{m},{n},{tail}{doubled[starts[n]:starts[n + L] - 1]}\r\n"
+                          for n in longitudes))
     return count

@@ -67,9 +67,27 @@ def reduce_step(p: IntegerPair) -> IntegerPair:
 
 @dataclass(frozen=True)
 class ReductionTrace:
-    steps: List[IntegerPair]
+    """The halving dynamics from `initial` down to width 1.
+
+    `steps` (the L pairs from `initial` to the width-1 pair) is built each
+    time it is read, so a caller that needs only the outcome pays O(L).
+    """
+
+    initial: IntegerPair
     outcome: int
-    step_count: int
+
+    @property
+    def step_count(self) -> int:
+        return self.initial.width - 1
+
+    @property
+    def steps(self) -> List[IntegerPair]:
+        pair = self.initial
+        steps = [pair]
+        while pair.width > 1:
+            pair = reduce_step(pair)
+            steps.append(pair)
+        return steps
 
 
 def measure(s: Sequence[int]) -> ReductionTrace:
@@ -79,12 +97,8 @@ def measure(s: Sequence[int]) -> ReductionTrace:
     string (which, for a xi-permuted state, is the bit xi selected).
     """
     pair = to_integer_pair(s)
-    steps = [pair]
-    while pair.width > 1:
-        pair = reduce_step(pair)
-        steps.append(pair)
-    outcome = 1 if pair.plus == 1 else -1
-    return ReductionTrace(steps=steps, outcome=outcome, step_count=len(steps) - 1)
+    outcome = 1 if pair.plus >> (pair.width - 1) else -1
+    return ReductionTrace(initial=pair, outcome=outcome)
 
 
 def two_adic_valuation(n: int) -> int:

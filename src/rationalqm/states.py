@@ -8,7 +8,6 @@ specific ordered string and thereby fixes the measurement outcome.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +29,8 @@ class HiddenPermutation:
     permutations uniform over the symmetric group (Fisher-Yates shuffle).
     An explicit permutation may be supplied instead of a seed, which is how
     the matched partner permutation of a perspective swap is represented.
+    Seeds must be >= 0: `random.Random` seeds with abs(seed), so -s would
+    give the permutation of s.
     """
 
     size: int
@@ -40,6 +41,8 @@ class HiddenPermutation:
         if self.perm is None:
             if self.seed is None:
                 raise ValueError("need a seed or an explicit permutation")
+            if self.seed < 0:
+                raise ValueError(f"seed must be >= 0, got {self.seed}")
             rng = random.Random(self.seed)
             perm = list(range(self.size))
             rng.shuffle(perm)
@@ -267,40 +270,35 @@ def counterfactual_setting_change(state: TwoQubitState,
     return changed
 
 
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
-
-
-def two_qubit_to_json(state: TwoQubitState) -> str:
-    """JSON record of a two-qubit state: L, params as reduced fractions,
-    xi seed (when seed-derived), and the two ordered strings."""
+def two_qubit_to_json(state: TwoQubitState) -> dict:
+    """Record of a two-qubit state for a JSON report: L, params as exact
+    fractions, xi seed (when seed-derived), and the two ordered strings."""
     p = state.params
-    record = {
+    return {
         "L": state.L,
         "params": {
-            "top_ones": _frac_str(p.top_ones),
-            "cond_plus": _frac_str(p.cond_plus),
-            "cond_minus": _frac_str(p.cond_minus),
-            "top_shift": _frac_str(p.top_shift),
-            "shift_plus": _frac_str(p.shift_plus),
-            "shift_minus": _frac_str(p.shift_minus),
+            "top_ones": p.top_ones,
+            "cond_plus": p.cond_plus,
+            "cond_minus": p.cond_minus,
+            "top_shift": p.top_shift,
+            "shift_plus": p.shift_plus,
+            "shift_minus": p.shift_minus,
         },
         "xi_seed": state.xi.seed,
-        "top": list(state.top),
-        "bottom": list(state.bottom),
+        "top": state.top,
+        "bottom": state.bottom,
     }
-    return json.dumps(record)
 
 
-def qubit_to_json(state: QubitState) -> str:
-    record = {
+def qubit_to_json(state: QubitState) -> dict:
+    """Record of a one-qubit state for a JSON report."""
+    return {
         "L": state.point.L,
         "m": state.point.m,
         "n": state.point.n,
         "xi_seed": state.xi.seed,
-        "string": list(state.string),
+        "string": state.string,
     }
-    return json.dumps(record)
 
 
 def check_ones_invariant(state: QubitState) -> bool:

@@ -1,14 +1,37 @@
+import enum
 import json
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from rationalqm.cli import main, parse_config_file, to_jsonable
+from rationalqm.lattice import LatticePoint
+from rationalqm.reduction import reduce_step, to_integer_pair
+from rationalqm.states import HiddenPermutation, make_qubit
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reference_measure_report(m, n, L, seed):
+    """The measure report as formatted step by step from checked IntegerPairs."""
+    state = make_qubit(LatticePoint(m, n, L), HiddenPermutation.from_seed(seed, L))
+    pair = to_integer_pair(state.string)
+    steps = [pair]
+    while pair.width > 1:
+        pair = reduce_step(pair)
+        steps.append(pair)
+    trace = []
+    for step in steps:
+        plus_bits, minus_bits = step.bit_strings()
+        trace.append(f"{plus_bits}.-{minus_bits}.")
+    return {"m": m, "n": n, "L": L, "seed": seed, "string": list(state.string),
+            "trace": trace, "outcome": 1 if pair.plus == 1 else -1,
+            "step_count": len(steps) - 1}
 
 
 class TestSubcommands:
@@ -59,6 +82,38 @@ class TestSubcommands:
         assert code == 0
         assert "trace:" in out and "outcome:" in out
         assert out.count("->") == 3
+
+    @pytest.mark.parametrize("m,n,L", [(0, 0, 1), (1, 0, 1), (1, 1, 2),
+                                       (2, 1, 4), (100, 37, 256)])
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1])
+    def test_measure_report_matches_pairwise_trace(self, capsys, tmp_path,
+                                                   m, n, L, seed):
+        path = tmp_path / "measure.json"
+        code, out, _ = run(capsys, "measure", "--m", str(m), "--n", str(n),
+                           "--L", str(L), "--seed", str(seed), "--json", str(path))
+        assert code == 0
+        expected = reference_measure_report(m, n, L, seed)
+        assert json.loads(path.read_text())["report"] == expected
+        sign = "+1" if expected["outcome"] == 1 else "-1"
+        assert out == ("trace: " + " -> ".join(expected["trace"]) + "\n"
+                       f"outcome: {sign} after {L - 1} halving steps\n")
+
+    def test_state_reports(self, capsys):
+        code, out, _ = run(capsys, "state", "--singlet-cos", "1/2", "--L", "8",
+                           "--seed", "1", "--json")
+        assert code == 0
+        assert json.loads(out[:out.rindex("}") + 1])["report"] == {
+            "L": 8, "xi_seed": 1,
+            "params": {"top_ones": "1/2", "cond_plus": "1/4", "cond_minus": "3/4",
+                       "top_shift": "0/1", "shift_plus": "0/1",
+                       "shift_minus": "0/1"},
+            "top": [1, -1, 1, -1, -1, 1, -1, 1],
+            "bottom": [-1, 1, -1, 1, -1, 1, 1, -1]}
+        code, out, _ = run(capsys, "state", "--m", "2", "--n", "1", "--L", "4",
+                           "--seed", "9", "--json")
+        assert code == 0
+        assert json.loads(out[:out.rindex("}") + 1])["report"] == {
+            "L": 4, "m": 2, "n": 1, "xi_seed": 9, "string": [1, -1, -1, 1]}
 
     def test_mz(self, capsys):
         code, out, _ = run(capsys, "mz", "--turns", "1/4")
@@ -143,6 +198,37 @@ class TestExitCodes:
         assert code == 2
         assert "seed" in err
 
+    @pytest.mark.parametrize("L", ["0", "-2"])
+    def test_sphere_needs_positive_L(self, capsys, tmp_path, L):
+        path = tmp_path / "lattice.csv"
+        code, out, err = run(capsys, "sphere", "--L", L, "--csv", str(path))
+        assert code == 2
+        assert "positive" in err and out == ""
+        assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("state", "--m", "3", "--n", "1", "--L", "12", "--seed", "-5"),
+        ("state", "--singlet-cos", "1/2", "--L", "8", "--seed", "-1"),
+        ("measure", "--m", "3", "--n", "1", "--L", "12", "--seed", "-5"),
+        ("uncertainty", "--samples", "50", "--seed", "-2"),
+    ])
+    def test_negative_seed(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "seed must be >= 0" in err
+
+    def test_decimal_cosines_rejected(self, capsys):
+        code, _, err = run(capsys, "uncertainty", "--cosines", "0.6,0.8,0")
+        assert code == 2
+        assert "decimal" in err
+
+    @pytest.mark.parametrize("angles", ["0,1/6", "0,1/6,1/3,1/2"])
+    def test_bell_needs_three_angles(self, capsys, angles):
+        code, _, err = run(capsys, "bell", "--angles", angles, "--L", "360",
+                           "--trials", "1000", "--seed", "1")
+        assert code == 2
+        assert "exactly three angles" in err
+
     def test_tiny_bell_run(self, capsys):
         code, _, err = run(capsys, "bell", "--angles", "0,1/6,1/3", "--L", "360",
                            "--trials", "10", "--seed", "1")
@@ -219,6 +305,15 @@ class TestConfigFile:
 
 class TestToJsonable:
     def test_fractions_and_tuples(self):
-        from fractions import Fraction
         assert to_jsonable({"x": Fraction(2, 4), "y": (1, 2)}) == {
             "x": "1/2", "y": [1, 2]}
+
+    def test_leaves(self):
+        class Kind(str, enum.Enum):
+            RATIONAL = "rational"
+
+        out = to_jsonable([True, None, Kind.RATIONAL, Fraction(-3, 6),
+                           mpmath.mpf(0.25), 7, 1.5, "s"])
+        assert out == [True, None, "rational", "-1/2", 0.25, 7, 1.5, "s"]
+        assert [type(v) for v in out] == [bool, type(None), str, str, float,
+                                         int, float, str]

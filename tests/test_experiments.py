@@ -163,6 +163,10 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate_directions([])
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            position_momentum_aggregate(50, seed=-2)
+
 
 class TestSnapping:
     def test_exact_hit(self):

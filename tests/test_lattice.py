@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 from fractions import Fraction
@@ -11,9 +12,22 @@ from rationalqm.lattice import (I_GENERATOR, LatticePoint, PNO, QUATERNIONS,
                                 apply_i, block_string, build_spinorial_circle,
                                 canonical_bitstring, cos_theta,
                                 interpolated_circle, iter_lattice,
-                                lattice_to_csv, negate, ones_fraction, zeta)
+                                lattice_size, lattice_to_csv, negate,
+                                ones_fraction, zeta)
 
 bits_strategy = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=64).map(tuple)
+
+
+def reference_lattice_csv(L):
+    """The per-point CSV dump that lattice_to_csv reproduces byte for byte."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["m", "n", "L", "cos_theta", "bits"])
+    for p in iter_lattice(L):
+        c = p.cos_theta
+        writer.writerow([p.m, p.n, p.L, f"{c.numerator}/{c.denominator}",
+                         " ".join(str(b) for b in canonical_bitstring(p))])
+    return out.getvalue()
 
 
 class TestApplyI:
@@ -232,10 +246,24 @@ class TestInterpolatedCircle:
 
 class TestLatticeEnumeration:
     def test_point_count(self):
-        for L in (2, 3, 8):
+        for L in (1, 2, 3, 8):
             pts = list(iter_lattice(L))
-            assert len(pts) == (L - 1) * L + 2
+            assert len(pts) == (L - 1) * L + 2 == lattice_size(L)
             assert len(set(pts)) == len(pts)
+
+    @pytest.mark.parametrize("L", [0, -2])
+    def test_size_needs_positive_L(self, L):
+        with pytest.raises(ValueError, match="positive"):
+            lattice_size(L)
+        with pytest.raises(ValueError, match="positive"):
+            lattice_to_csv(L, io.StringIO())
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 16, 64])
+    def test_csv_matches_per_point_writer(self, L):
+        buf = io.StringIO(newline="")
+        rows = lattice_to_csv(L, buf)
+        assert buf.getvalue() == reference_lattice_csv(L)
+        assert rows == lattice_size(L)
 
     def test_csv_dump(self):
         buf = io.StringIO()

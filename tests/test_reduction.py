@@ -15,6 +15,16 @@ from rationalqm.states import HiddenPermutation, make_qubit
 bits_strategy = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=64).map(tuple)
 
 
+def eager_halving_chain(s):
+    """Every pair of the halving dynamics, built up front."""
+    pair = to_integer_pair(s)
+    chain = [pair]
+    while pair.width > 1:
+        pair = reduce_step(pair)
+        chain.append(pair)
+    return chain
+
+
 class TestIntegerPair:
     def test_encoding(self):
         p = to_integer_pair((1, -1, -1, 1))
@@ -73,6 +83,19 @@ class TestReduction:
     @given(bits_strategy)
     def test_step_count(self, s):
         assert measure(s).step_count == len(s) - 1
+
+    @given(bits_strategy)
+    def test_lazy_steps_equal_eager_chain(self, s):
+        trace = measure(s)
+        assert trace.steps == eager_halving_chain(s)
+        assert len(trace.steps) == trace.step_count + 1 == len(s)
+        assert trace.outcome == (1 if trace.steps[-1].plus else -1)
+
+    def test_invalid_string_rejected(self):
+        with pytest.raises(ValueError):
+            measure((1, 0, -1))
+        with pytest.raises(ValueError):
+            measure(())
 
     def test_trace_json_lines(self):
         lines = trace_to_json_lines(measure((1, -1))).splitlines()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rationalqm.cli import to_jsonable
 from rationalqm.lattice import LatticePoint, ones_fraction
 from rationalqm.states import (HiddenPermutation, LatticeUnrealisableError,
                                TwoQubitParams, canonical_two_qubit_strings,
@@ -23,6 +24,11 @@ class TestHiddenPermutation:
         a = HiddenPermutation.from_seed(42, 16)
         b = HiddenPermutation.from_seed(42, 16)
         assert a.perm == b.perm
+
+    def test_negative_seed_rejected(self):
+        # random.Random seeds with abs(seed): -5 would replay seed 5.
+        with pytest.raises(ValueError, match="seed"):
+            HiddenPermutation.from_seed(-5, 12)
 
     def test_apply_is_a_reordering(self):
         xi = HiddenPermutation(size=4, perm=(2, 0, 3, 1))
@@ -70,7 +76,8 @@ class TestQubitState:
                       for s in range(20)}
         assert len(canonicals) == 1
 
-    @given(st.integers(min_value=2, max_value=32), st.integers(), st.data())
+    @given(st.integers(min_value=2, max_value=32), st.integers(min_value=0),
+           st.data())
     @settings(max_examples=200)
     def test_ones_invariant_under_xi(self, L, seed, data):
         m = data.draw(st.integers(min_value=0, max_value=L))
@@ -80,7 +87,7 @@ class TestQubitState:
 
     def test_json_round_trip(self):
         q = make_qubit(LatticePoint(2, 1, 4), HiddenPermutation.from_seed(7, 4))
-        record = json.loads(qubit_to_json(q))
+        record = json.loads(json.dumps(to_jsonable(qubit_to_json(q))))
         assert record["L"] == 4 and record["m"] == 2 and record["n"] == 1
         assert record["xi_seed"] == 7
         assert tuple(record["string"]) == q.string
@@ -165,8 +172,9 @@ class TestTwoQubit:
         params = TwoQubitParams(top_ones=Fraction(1, 2),
                                 cond_plus=Fraction(1), cond_minus=Fraction(0))
         state = make_two_qubit(params, 4, HiddenPermutation.from_seed(11, 4))
-        record = json.loads(two_qubit_to_json(state))
-        assert record["params"]["top_ones"] == "1/2"
+        record = two_qubit_to_json(state)
+        assert record["params"]["top_ones"] == Fraction(1, 2)
+        assert to_jsonable(record)["params"]["top_ones"] == "1/2"
         assert record["xi_seed"] == 11
         assert len(record["top"]) == len(record["bottom"]) == 4
 
