@@ -23,7 +23,7 @@ def main() -> int:
                     help="comma-separated interior angles in turns")
     args = ap.parse_args()
 
-    angles = [RationalAngle(Fraction(t)) for t in args.turns.split(",")]
+    angles = [RationalAngle.from_string(t) for t in args.turns.split(",")]
     found = 0
     for qa in range(2, args.max_den + 1):
         for pa in range(-qa + 1, qa):

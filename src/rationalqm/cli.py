@@ -92,11 +92,14 @@ def emit(args: argparse.Namespace, report: Any, summary_lines: List[str]) -> Non
 
 
 def _frac(text: str) -> Fraction:
-    return parse_fraction(text)
+    try:
+        return parse_fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _angle(text: str) -> RationalAngle:
-    return RationalAngle(parse_fraction(text))
+    return RationalAngle(_frac(text))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,14 @@ _COS_BY_DENOMINATOR = {
     6: Fraction(1, 2),
 }
 
+# cos^2(2pi * n/d) for reduced n/d with d in RATIONAL_COS_SQ_DENOMINATORS,
+# by the half-angle identity: the doubled angle 2n/d has reduced denominator
+# d for odd d and d/2 for even d, since gcd(n, d) = 1.
+_COS_SQ_BY_DENOMINATOR = {
+    d: (1 + _COS_BY_DENOMINATOR[d if d % 2 else d // 2]) / 2
+    for d in RATIONAL_COS_SQ_DENOMINATORS
+}
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
@@ -43,27 +51,53 @@ class MixedRadicalError(ArithmeticError):
     """Raised when an operation would need more than one radical per value."""
 
 
+def _is_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' into an exact Fraction. Decimals are rejected."""
+    """Parse 'p/q' or 'p' into an exact Fraction.
+
+    After stripping surrounding whitespace the text must be an optional sign,
+    ASCII digits, and optionally '/' and ASCII digits. Decimals, exponents,
+    digit separators and non-ASCII digits are all rejected.
+    """
     text = text.strip()
     if "." in text:
         raise ValueError(f"decimal notation not allowed, use p/q: {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {text!r}") from None
-    except ValueError:
-        raise ValueError(f"not a finite fraction p/q: {text!r}") from None
+    num, slash, den = text.partition("/")
+    unsigned = num[1:] if num[:1] in ("+", "-") else num
+    if not _is_digits(unsigned) or (slash and not _is_digits(den)):
+        raise ValueError(f"not a finite fraction p/q: {text!r}")
+    denominator = int(den) if slash else 1
+    if denominator == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(int(num), denominator)
+
+
+def _as_fraction(value) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 @dataclass(frozen=True)
 class RationalAngle:
-    """An angle stored as a reduced fraction of a full turn, in [0, 1)."""
+    """An angle stored as a reduced fraction of a full turn, in [0, 1).
+
+    Only exact turns are accepted: an int or a Fraction. A float, Decimal or
+    string raises TypeError rather than being rounded to a nearby fraction.
+    """
 
     turns: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "turns", Fraction(self.turns) % 1)
+        turns = self.turns
+        if isinstance(turns, Fraction):
+            if 0 <= turns.numerator < turns.denominator:
+                return
+        elif not isinstance(turns, int):
+            raise TypeError(
+                f"angle turns must be an int or a Fraction, got {type(turns).__name__}")
+        object.__setattr__(self, "turns", Fraction(turns) % 1)
 
     @classmethod
     def from_string(cls, text: str) -> "RationalAngle":
@@ -73,15 +107,15 @@ class RationalAngle:
     def denominator(self) -> int:
         return self.turns.denominator
 
-    def double(self) -> "RationalAngle":
-        return RationalAngle(2 * self.turns)
-
     def cosine_sign(self) -> int:
-        """Sign of cos(2pi * turns): +1, -1, or 0 on the quarter turns."""
-        t = self.turns
-        if t == Fraction(1, 4) or t == Fraction(3, 4):
+        """Sign of cos(2pi * turns): +1, -1, or 0 on the quarter turns.
+
+        For turns n/d in [0, 1) this compares 4n with d and 3d.
+        """
+        q, d = 4 * self.turns.numerator, self.turns.denominator
+        if q == d or q == 3 * d:
             return 0
-        return 1 if (t < Fraction(1, 4) or t > Fraction(3, 4)) else -1
+        return 1 if (q < d or q > 3 * d) else -1
 
     def radians(self, prec: int = 200) -> mpmath.mpf:
         with mpmath.workprec(prec):
@@ -94,12 +128,13 @@ def is_perfect_square(r: Fraction) -> Optional[Fraction]:
     Returns sqrt(r) as a Fraction iff numerator and denominator are both
     perfect squares of integers.
     """
-    r = Fraction(r)
-    if r < 0:
+    r = _as_fraction(r)
+    n, d = r.numerator, r.denominator
+    if n < 0:
         raise ValueError(f"is_perfect_square: negative input {r}")
-    pn = math.isqrt(r.numerator)
-    pd = math.isqrt(r.denominator)
-    if pn * pn == r.numerator and pd * pd == r.denominator:
+    pn = math.isqrt(n)
+    pd = math.isqrt(d)
+    if pn * pn == n and pd * pd == d:
         return Fraction(pn, pd)
     return None
 
@@ -175,19 +210,23 @@ def make_surd(a: Fraction, b: Fraction, radicand: Fraction) -> Union[Fraction, S
     normalises the radicand to a non-square positive integer, pulling
     denominators and small square factors into the coefficient.
     """
-    a, b, radicand = Fraction(a), Fraction(b), Fraction(radicand)
-    if radicand < 0:
-        raise ValueError(f"negative radicand {radicand}")
-    if b == 0 or radicand == 0:
-        return a
-    root = is_perfect_square(radicand)
-    if root is not None:
-        return a + b * root
-    # sqrt(p/q) = sqrt(p*q) / q
+    a, b, radicand = _as_fraction(a), _as_fraction(b), _as_fraction(radicand)
     p, q = radicand.numerator, radicand.denominator
-    coeff = b / q
+    if p < 0:
+        raise ValueError(f"negative radicand {radicand}")
+    if b == 0 or p == 0:
+        return a
+    return _surd(a, b, p, q)
+
+
+def _surd(a: Fraction, b: Union[int, Fraction], p: int, q: int) -> Union[Fraction, Surd]:
+    """make_surd for a nonzero b and a radicand given as a reduced p/q > 0."""
+    rp, rq = math.isqrt(p), math.isqrt(q)
+    if rp * rp == p and rq * rq == q:
+        return a + b * Fraction(rp, rq)
+    # sqrt(p/q) = sqrt(p*q) / q
     s, n0 = _extract_square_factor(p * q)
-    return Surd(a, coeff * s, Fraction(n0))
+    return Surd(a, b * Fraction(s, q), Fraction(n0))
 
 
 class CosineKind(Enum):
@@ -213,7 +252,7 @@ class ExactCosine:
 
     @classmethod
     def from_rational(cls, value: Fraction) -> "ExactCosine":
-        return cls(CosineKind.RATIONAL, rational=Fraction(value))
+        return cls(CosineKind.RATIONAL, rational=_as_fraction(value))
 
     @classmethod
     def from_surd(cls, value: Union[Fraction, Surd]) -> "ExactCosine":
@@ -273,25 +312,22 @@ def niven_cosine(angle: RationalAngle) -> ExactCosine:
     d = angle.denominator
     if d in RATIONAL_COS_DENOMINATORS:
         return ExactCosine.from_rational(_COS_BY_DENOMINATOR[d])
-    c2 = cos_squared(angle)
-    if c2 is not None:
-        sign = angle.cosine_sign()
-        return ExactCosine.from_surd(make_surd(Fraction(0), Fraction(sign), c2))
-    return ExactCosine.by_niven(angle)
+    c2 = _COS_SQ_BY_DENOMINATOR.get(d)
+    if c2 is None:
+        return ExactCosine.by_niven(angle)
+    return ExactCosine.from_surd(
+        _surd(Fraction(0), angle.cosine_sign(), c2.numerator, c2.denominator))
 
 
 def cos_squared(angle: RationalAngle) -> Optional[Fraction]:
-    """cos^2(phi) as an exact rational when one exists, via the half-angle
-    identity cos^2(phi) = (1 + cos 2phi)/2 and the rational-cosine table."""
-    doubled = angle.double()
-    if doubled.denominator in RATIONAL_COS_DENOMINATORS:
-        return (1 + _COS_BY_DENOMINATOR[doubled.denominator]) / 2
-    return None
+    """cos^2(phi) as an exact rational when one exists, read from the
+    half-angle table by the reduced turn-denominator."""
+    return _COS_SQ_BY_DENOMINATOR.get(angle.denominator)
 
 
 def _check_cosine_range(name: str, value: Fraction) -> Fraction:
-    value = Fraction(value)
-    if abs(value) > 1:
+    value = _as_fraction(value)
+    if abs(value.numerator) > value.denominator:
         raise ValueError(f"|{name}| must be <= 1, got {value}")
     return value
 
@@ -305,32 +341,42 @@ def spherical_third_side(cos_ab: Fraction, cos_bc: Fraction,
     where phi_C is the interior angle at the shared vertex and the sines are
     the nonnegative roots of rational quantities.
     """
-    cos_ab = _check_cosine_range("cos_ab", cos_ab)
-    cos_bc = _check_cosine_range("cos_bc", cos_bc)
-    base = cos_ab * cos_bc
-    r = (1 - cos_ab ** 2) * (1 - cos_bc ** 2)
-    if r == 0:
+    return _third_side(_check_cosine_range("cos_ab", cos_ab),
+                       _check_cosine_range("cos_bc", cos_bc), phi_c)
+
+
+def _third_side(cos_ab: Fraction, cos_bc: Fraction,
+                phi_c: RationalAngle) -> ExactCosine:
+    """spherical_third_side on cosines already checked to lie in [-1, 1].
+
+    With cos_ab = p/q and cos_bc = u/v, the sine product squared is
+    r = (q^2 - p^2)(v^2 - u^2) / (qv)^2; it stays in integers and becomes a
+    Fraction only where it enters the certificate.
+    """
+    p, q = cos_ab.numerator, cos_ab.denominator
+    u, v = cos_bc.numerator, cos_bc.denominator
+    base = Fraction(p * u, q * v)
+    r_num = (q * q - p * p) * (v * v - u * u)
+    if r_num == 0:
         # A pole: one sine factor vanishes, third side rational regardless.
         return ExactCosine.from_rational(base)
+    r_den = (q * v) ** 2
 
-    classified = niven_cosine(phi_c)
-    if classified.kind is CosineKind.RATIONAL:
-        c = classified.rational
-        if c == 0:
-            return ExactCosine.from_rational(base)
-        sign = 1 if c > 0 else -1
-        return ExactCosine.from_surd(make_surd(base, Fraction(sign), r * c * c))
-
-    c2 = cos_squared(phi_c)
-    if c2 is not None:
-        # cos phi_C = sign * sqrt(c2); the second term is sign * sqrt(r * c2),
-        # rational iff r * c2 is a perfect square.
-        sign = phi_c.cosine_sign()
-        return ExactCosine.from_surd(make_surd(base, Fraction(sign), r * c2))
-
-    # Generic case: cos^2 phi_C irrational, so sqrt(r) * cos phi_C cannot be
-    # rational (its square r * cos^2 phi_C would force cos^2 phi_C rational).
-    return ExactCosine.by_niven(phi_c, cross_base=base, cross_radicand=r)
+    c2 = _COS_SQ_BY_DENOMINATOR.get(phi_c.denominator)
+    if c2 is None:
+        # Generic case: cos^2 phi_C irrational, so sqrt(r) * cos phi_C cannot
+        # be rational (its square r * cos^2 phi_C would force cos^2 phi_C
+        # rational).
+        return ExactCosine.by_niven(phi_c, cross_base=base,
+                                    cross_radicand=Fraction(r_num, r_den))
+    sign = phi_c.cosine_sign()
+    if sign == 0:
+        return ExactCosine.from_rational(base)
+    # cos phi_C = sign * sqrt(c2); the second term is sign * sqrt(r * c2),
+    # rational iff r * c2 is a perfect square.
+    n, d = r_num * c2.numerator, r_den * c2.denominator
+    g = math.gcd(n, d)
+    return ExactCosine.from_surd(_surd(base, sign, n // g, d // g))
 
 
 @dataclass(frozen=True)
@@ -349,10 +395,11 @@ def itc_verdict(cos_ab: Fraction, cos_bc: Fraction,
     rational third-side cosine, with a checkable certificate either way."""
     cos_ab = _check_cosine_range("cos_ab", cos_ab)
     cos_bc = _check_cosine_range("cos_bc", cos_bc)
-    if abs(cos_ab) == 1 or abs(cos_bc) == 1:
+    if (abs(cos_ab.numerator) == cos_ab.denominator
+            or abs(cos_bc.numerator) == cos_bc.denominator):
         third = ExactCosine.from_rational(cos_ab * cos_bc)
         return TriangleVerdict(possible=True, third_side=third, reason="degenerate")
-    third = spherical_third_side(cos_ab, cos_bc, phi_c)
+    third = _third_side(cos_ab, cos_bc, phi_c)
     if third.is_rational:
         return TriangleVerdict(
             possible=True, third_side=third,

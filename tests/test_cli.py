@@ -222,6 +222,29 @@ class TestExitCodes:
         assert code == 2
         assert "decimal" in err
 
+    @pytest.mark.parametrize("literal", ["1e-1", "1E3", "1_0", "\u0661/\u0662"])
+    @pytest.mark.parametrize("argv", [
+        ("niven", "--turns", "{}"),
+        ("itc", "--cos-ab", "{}", "--cos-bc", "1/2", "--turns", "1/4"),
+        ("sg", "--cos-ab", "1/2", "--cos-bc", "1/2", "--phi-b", "{}"),
+        ("uncertainty", "--cosines", "0,{},1"),
+        ("bell", "--angles", "0,{},1/3", "--L", "360", "--trials", "1000",
+         "--seed", "1"),
+    ], ids=["niven", "itc", "sg", "uncertainty", "bell"])
+    def test_only_ascii_p_over_q(self, capsys, argv, literal):
+        code, _, err = run(capsys, *(arg.format(literal) for arg in argv))
+        assert code == 2
+        assert "not a finite fraction p/q" in err
+
+    @pytest.mark.parametrize("literal", ["1e-1", "1_0", "\u0661/\u0662"])
+    def test_only_ascii_p_over_q_in_config(self, capsys, tmp_path, literal):
+        cfg = tmp_path / "bell.cfg"
+        cfg.write_text(f"angles = 0,{literal},1/3\nL = 360\ntrials = 1000\n"
+                       "seed = 1\n", encoding="utf-8")
+        code, _, err = run(capsys, "bell", "--config", str(cfg))
+        assert code == 2
+        assert "not a finite fraction p/q" in err
+
     @pytest.mark.parametrize("angles", ["0,1/6", "0,1/6,1/3,1/2"])
     def test_bell_needs_three_angles(self, capsys, angles):
         code, _, err = run(capsys, "bell", "--angles", angles, "--L", "360",

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -202,6 +203,31 @@ class TestRationalAngle:
         with pytest.raises(ValueError):
             parse_fraction("0.5")
         assert parse_fraction(" 3/4 ") == Fraction(3, 4)
+
+    @pytest.mark.parametrize("text", [
+        "1e-1", "1E3", "1_0", "\u0661/\u0662", "\u00b2", "1/-2", "1 / 2", "/2",
+        "1/", "+-1", "", "nan", "inf", "0x10"])
+    def test_parse_fraction_only_ascii_p_over_q(self, text):
+        with pytest.raises(ValueError, match="not a finite fraction p/q"):
+            parse_fraction(text)
+
+    @pytest.mark.parametrize("text,value", [
+        ("-3/4", Fraction(-3, 4)), ("+3", Fraction(3)), ("007/014", Fraction(1, 2)),
+        (" -0 ", Fraction(0))])
+    def test_parse_fraction_accepts_signed_p_over_q(self, text, value):
+        assert parse_fraction(text) == value
+
+    def test_parse_fraction_zero_denominator(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_fraction("1/0")
+
+    @pytest.mark.parametrize("turns", [0.1, Decimal("0.1"), "1/10", None])
+    def test_inexact_turns_rejected(self, turns):
+        with pytest.raises(TypeError):
+            RationalAngle(turns)
+
+    def test_integer_turns(self):
+        assert RationalAngle(3).turns == 0 and RationalAngle(-2).denominator == 1
 
     def test_by_niven_rejects_bad_witness(self):
         with pytest.raises(ValueError):
