@@ -13,12 +13,11 @@ import dataclasses
 import datetime
 import enum
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Dict, List, Optional
-
-import mpmath
 
 from . import __version__
 from .exact import RationalAngle, itc_verdict, niven_cosine, parse_fraction
@@ -47,8 +46,6 @@ def to_jsonable(obj: Any) -> Any:
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, enum.Enum):
         return obj.value
-    if isinstance(obj, mpmath.mpf):
-        return float(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -56,6 +53,8 @@ def to_jsonable(obj: Any) -> Any:
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
+    if hasattr(obj, "_mpf_"):  # an mpmath.mpf, told without importing mpmath
+        return float(obj)
     return obj
 
 
@@ -301,14 +300,22 @@ def parse_config_file(path: str) -> Dict[str, Any]:
 # Parser
 # ---------------------------------------------------------------------------
 
+# argparse takes an argument starting with '-' for an option unless it looks
+# like a negative number ('-digits' or a decimal); widen that test to 'p/q'
+# and comma-separated fractions, so '--cos-ab -1/3' parses as a value.
+_NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?(,[-+]?\d+(/\d+)?)*$|^-\d*\.\d+$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rationalqm",
         description="Exact-arithmetic simulator on the discretised sphere")
+    parser._negative_number_matcher = _NEGATIVE_VALUE
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
+        p._negative_number_matcher = _NEGATIVE_VALUE
         p.set_defaults(func=func)
         p.add_argument("--json", nargs="?", const="-", default=None,
                        metavar="PATH", help="write JSON report (default stdout)")
@@ -373,10 +380,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call to main and reused: parse_args keeps no state
+# between calls, since each call returns a fresh Namespace.
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

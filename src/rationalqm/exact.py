@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 # Reduced turn-denominators at which cos(phi) is itself rational
 # (phi an exact multiple of 60 or 90 degrees).
@@ -118,6 +119,7 @@ class RationalAngle:
         return 1 if (q < d or q > 3 * d) else -1
 
     def radians(self, prec: int = 200) -> mpmath.mpf:
+        import mpmath
         with mpmath.workprec(prec):
             return 2 * mpmath.pi * mpmath.mpf(self.turns.numerator) / self.turns.denominator
 
@@ -180,10 +182,16 @@ class Surd:
 
     def multiply(self, other: "Surd") -> "Surd":
         """Product of two surds over the same radical; mixed radicals are
-        rejected rather than widened to a field tower."""
+        rejected rather than widened to a field tower. A radicand need not
+        be squarefree, so one radical can come in two forms: sqrt(d2) is
+        sqrt(d1*d2)/d1 * sqrt(d1) whenever d1*d2 is a perfect square.
+        """
         if self.b != 0 and other.b != 0 and self.d != other.d:
-            raise MixedRadicalError(
-                f"cannot multiply surds over sqrt({self.d}) and sqrt({other.d})")
+            root = is_perfect_square(self.d * other.d)
+            if root is None:
+                raise MixedRadicalError(
+                    f"cannot multiply surds over sqrt({self.d}) and sqrt({other.d})")
+            other = Surd(other.a, other.b * root / self.d, self.d)
         d = self.d if self.b != 0 else other.d
         a = self.a * other.a + self.b * other.b * d
         b = self.a * other.b + self.b * other.a
@@ -195,6 +203,7 @@ class Surd:
         return self.multiply(self)
 
     def numeric(self, prec: int = 200) -> mpmath.mpf:
+        import mpmath
         with mpmath.workprec(prec):
             out = mpmath.mpf(self.a.numerator) / self.a.denominator
             if self.b != 0:
@@ -277,6 +286,7 @@ class ExactCosine:
         return self.kind is CosineKind.RATIONAL
 
     def numeric(self, prec: int = 200) -> mpmath.mpf:
+        import mpmath
         with mpmath.workprec(prec):
             if self.kind is CosineKind.RATIONAL:
                 return mpmath.mpf(self.rational.numerator) / self.rational.denominator

@@ -9,9 +9,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
-
-import mpmath
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from .exact import (ExactCosine, RationalAngle, TriangleVerdict, cos_squared,
                     itc_verdict, niven_cosine)
@@ -19,10 +17,15 @@ from .lattice import LatticePoint
 from .states import (HiddenPermutation, canonical_two_qubit_strings,
                      make_singlet, singlet_params)
 
-PRECISION_BITS = 200
-RESIDUAL_TOL = mpmath.mpf(2) ** -150
+if TYPE_CHECKING:
+    import mpmath
 
-CosineValue = Union[Fraction, float, mpmath.mpf]
+PRECISION_BITS = 200
+# A float is exactly 2^-150, and mpmath compares with floats exactly, so the
+# tolerance needs no mpmath import until a numeric check runs.
+RESIDUAL_TOL = 2.0 ** -150
+
+CosineValue = Union[Fraction, float, "mpmath.mpf"]
 
 
 class SnapInfeasibleError(ValueError):
@@ -30,12 +33,14 @@ class SnapInfeasibleError(ValueError):
 
 
 def _mpf(x: CosineValue) -> mpmath.mpf:
+    import mpmath
     if isinstance(x, Fraction):
         return mpmath.mpf(x.numerator) / x.denominator
     return mpmath.mpf(x)
 
 
 def _cis(angle: RationalAngle) -> mpmath.mpc:
+    import mpmath
     return mpmath.exp(1j * angle.radians(PRECISION_BITS))
 
 
@@ -62,6 +67,7 @@ def mz_simulate(phi: RationalAngle) -> MZReport:
     rational-turn input. The output basis needs cos^2(phi/2), hence cos(phi),
     rational; the two demands only coincide on the exceptional angles.
     """
+    import mpmath
     with mpmath.workprec(PRECISION_BITS):
         e = _cis(phi)
         amp_keep = (1 + e) / 2   # port that reproduces the input at phi = 0
@@ -147,6 +153,7 @@ def identity_split_check(phi_a: RationalAngle, phi_b: RationalAngle) -> Identity
     half-difference argument: its amplitude is rational iff sin^2 of the
     half-difference is rational, which fails off the exceptional set.
     """
+    import mpmath
     with mpmath.workprec(PRECISION_BITS):
         ea, eb = _cis(phi_a), _cis(phi_b)
         half_sum_rad = (phi_a.radians(PRECISION_BITS)
@@ -198,6 +205,7 @@ def uncertainty_check(cosines: Sequence[CosineValue],
     Exact Fraction inputs are compared exactly via squares; numeric inputs
     at 200-bit precision within `tol` (default 2^-150).
     """
+    import mpmath
     if len(cosines) != 3:
         raise ValueError("need exactly three direction cosines")
     tol = RESIDUAL_TOL if tol is None else tol
@@ -409,8 +417,12 @@ def _pair_seed(seed: int, index: int) -> int:
     return seed * 1_000_003 + index
 
 
-# Most 32-bit words drawn per round; bounds the big ints a round holds.
-_MAX_LANES = 1 << 14
+# Most 32-bit words drawn per round; bounds the big ints a round holds. At
+# 2^14 words glibc's malloc gave a pair's freed ints back to the system and
+# faulted them in again for the next pair (about 270 minor page faults per
+# bell op, unless an earlier import had moved its thresholds); at 2^13 words
+# none showed, and a trial costs no more.
+_MAX_LANES = 1 << 13
 
 
 def _sum_at_uniform_positions(values: Sequence[int], trials: int,

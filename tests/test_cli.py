@@ -1,10 +1,16 @@
 import enum
 import json
+import os
+import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+from rationalqm import cli
 from rationalqm.cli import main, parse_config_file, to_jsonable
 from rationalqm.lattice import LatticePoint
 from rationalqm.reduction import reduce_step, to_integer_pair
@@ -160,6 +166,11 @@ class TestExitCodes:
     def test_decimal_fraction_rejected(self, capsys):
         code, _, err = run(capsys, "niven", "--turns", "0.5")
         assert code == 2
+
+    def test_negative_decimal_rejected_as_decimal(self, capsys):
+        code, _, err = run(capsys, "niven", "--turns", "-0.5")
+        assert code == 2
+        assert "decimal notation not allowed" in err
 
     def test_bell_missing_parameters(self, capsys):
         code, _, err = run(capsys, "bell", "--angles", "0,1/6,1/3")
@@ -340,3 +351,137 @@ class TestToJsonable:
         assert out == [True, None, "rational", "-1/2", 0.25, 7, 1.5, "s"]
         assert [type(v) for v in out] == [bool, type(None), str, str, float,
                                          int, float, str]
+
+
+class TestNegativeFractionValues:
+    """A negative 'p/q' may follow its flag as a separate argument; it used
+    to work only in the '--flag=-p/q' form."""
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (("niven",), "--turns", "-7/3"),
+        (("itc", "--cos-bc", "1/2", "--turns", "1/4"), "--cos-ab", "-1/3"),
+        (("itc", "--cos-ab", "1/2", "--turns", "1/4"), "--cos-bc", "-1/3"),
+        (("itc", "--cos-ab", "1/2", "--cos-bc", "1/2"), "--turns", "-1/8"),
+        (("state", "--L", "8", "--seed", "1"), "--singlet-cos", "-1/2"),
+        (("mz",), "--turns", "-1/5"),
+        (("delayed-choice", "--mirror", "in"), "--turns", "-1/6"),
+        (("uncertainty",), "--cosines", "-3/5,0,4/5"),
+        (("sg", "--cos-bc", "3/5", "--phi-b", "1/2"), "--cos-ab", "-1/2"),
+        (("sg", "--cos-ab", "3/5", "--phi-b", "1/2"), "--cos-bc", "-1/2"),
+        (("sg", "--cos-ab", "3/5", "--cos-bc", "3/5"), "--phi-b", "-1/2"),
+        (("bell", "--L", "360", "--trials", "500", "--seed", "3"),
+         "--angles", "-1/6,0,1/6"),
+    ], ids=lambda v: v if isinstance(v, str) and v.startswith("--") else None)
+    def test_separate_value_matches_equals_form(self, capsys, argv, flag, value):
+        joined = run(capsys, *argv, f"{flag}={value}")
+        separate = run(capsys, *argv, flag, value)
+        assert joined[0] == 0
+        assert separate == joined
+
+
+_TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
+
+
+def run_masked(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    return code, _TIMESTAMP.sub('"timestamp": ""', out), err
+
+
+class TestParserReuse:
+    """main builds its parser once per process; every call must behave as
+    if the parser were new."""
+
+    ARGVS = [
+        ("niven", "--turns", "1/6", "--json", "-"),
+        ("niven", "--nope"),                                         # argparse error
+        ("niven", "--turns", "1/5", "--json", "-"),
+        ("state", "--singlet-cos", "1/2", "--L", "8", "--seed", "1", "--json", "-"),
+        ("state", "--L", "4", "--seed", "1"),                        # ValueError
+        ("state", "--m", "2", "--n", "1", "--L", "4", "--seed", "9", "--json", "-"),
+        ("state", "--singlet-cos", "1/2", "--L", "6", "--seed", "1"),  # unrealisable
+        ("sphere", "--L", "3", "--json", "-"),
+        ("--help",),
+        ("itc", "--cos-ab", "3/5", "--cos-bc", "4/5", "--turns", "1/360", "--json", "-"),
+        ("itc", "--help"),
+        ("itc", "--cos-ab", "-1/3", "--cos-bc", "1/2", "--turns", "1/4", "--json", "-"),
+        ("measure", "--m", "2", "--n", "1", "--L", "4", "--seed", "0", "--json", "-"),
+        ("mz", "--turns", "1/4", "--json", "-"),
+        ("delayed-choice", "--turns", "1/5", "--mirror", "in", "--json", "-"),
+        ("delayed-choice", "--turns", "1/5", "--mirror", "sideways"),
+        ("uncertainty", "--cosines", "0,3/5,4/5", "--json", "-"),
+        ("uncertainty", "--samples", "200", "--seed", "3", "--json", "-"),
+        ("uncertainty", "--json", "-"),                              # ValueError
+        ("sg", "--cos-ab", "3/5", "--cos-bc", "3/5", "--phi-b", "1/2", "--json", "-"),
+        ("bell", "--config", "{cfg}", "--json", "-"),
+        ("bell", "--angles", "0,1/6,1/3"),                           # nothing kept from --config
+        ("bell", "--angles", "0,1/6,1/3", "--L", "360", "--trials", "500",
+         "--seed", "7", "--json", "-"),
+        ("nope",),
+        ("niven", "--turns", "1/6", "--json", "-"),
+    ]
+
+    def test_cached_parser_matches_fresh_parser(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "bell.cfg"
+        cfg.write_text("angles = 0,1/6,1/3\nL = 360\ntrials = 500\nseed = 4\n")
+        argvs = [[a.format(cfg=cfg) for a in argv] for argv in self.ARGVS]
+        monkeypatch.setattr(cli, "_parser", None)
+        cached = [run_masked(capsys, *argvs[0])]
+        parser = cli._parser
+        cached += [run_masked(capsys, *argv) for argv in argvs[1:]]
+        assert parser is not None and cli._parser is parser
+        assert {code for code, _, _ in cached} == {0, 2, 3}
+        for argv, got in zip(argvs, cached):
+            monkeypatch.setattr(cli, "_parser", None)
+            assert got == run_masked(capsys, *argv), argv
+
+
+def test_plain_commands_do_not_import_mpmath():
+    src = Path(cli.__file__).resolve().parents[1]
+    script = """
+import contextlib, io, json, sys
+import rationalqm
+import rationalqm.cli as cli
+argvs = [
+    ["sphere", "--L", "4", "--json", "-"],
+    ["niven", "--turns", "1/5", "--json", "-"],
+    ["itc", "--cos-ab", "3/5", "--cos-bc", "4/5", "--turns", "1/8", "--json", "-"],
+    ["state", "--singlet-cos", "1/2", "--L", "8", "--seed", "1", "--json", "-"],
+    ["measure", "--m", "2", "--n", "1", "--L", "4", "--seed", "0", "--json", "-"],
+    ["bell", "--angles", "0,1/6,1/3", "--L", "360", "--trials", "500",
+     "--seed", "7", "--json", "-"],
+    ["delayed-choice", "--turns", "1/5", "--mirror", "in", "--json", "-"],
+    ["sg", "--cos-ab", "3/5", "--cos-bc", "3/5", "--phi-b", "1/2", "--json", "-"],
+    ["uncertainty", "--samples", "100", "--seed", "1", "--json", "-"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+loaded_before_mz = "mpmath" in sys.modules
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    mz_code = cli.main(["mz", "--turns", "1/5", "--json", "-"])
+import mpmath
+print(json.dumps({"codes": codes, "loaded_before_mz": loaded_before_mz,
+                  "mz_code": mz_code, "mz_out": buf.getvalue(),
+                  "quarter": cli.to_jsonable(mpmath.mpf("0.25"))}))
+"""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * 9
+    assert result["loaded_before_mz"] is False
+    assert result["mz_code"] == 0
+    payload, _ = json.JSONDecoder().raw_decode(result["mz_out"])
+    assert payload["report"] == {
+        "inside_certificate": "squared amplitudes 1/2 rational; phase 1/5 of a "
+                              "turn rational",
+        "inside_definable": True,
+        "numeric_residual": 0.0,
+        "output_certificate": {"cross_base": None, "cross_radicand": None,
+                               "kind": "irrational-by-niven", "rational": None,
+                               "surd": None, "witness": {"turns": "1/5"}},
+        "output_definable": False,
+        "output_probabilities": [0.3454915028125263, 0.6545084971874737],
+        "phi": {"turns": "1/5"},
+    }
+    assert result["quarter"] == 0.25

@@ -110,6 +110,19 @@ class TestSurd:
         with pytest.raises(MixedRadicalError):
             a.multiply(b)
 
+    def test_one_radical_in_two_forms(self):
+        # 101 lies above the primes _extract_square_factor strips, so
+        # sqrt(2 * 101^2) keeps its square factor in the radicand
+        wide = make_surd(Fraction(0), Fraction(1), Fraction(2 * 101 ** 2))
+        narrow = make_surd(Fraction(0), Fraction(101), Fraction(2))
+        assert wide.d == 20402 and narrow.d == 2
+        product = Surd(Fraction(20402), Fraction(0), Fraction(0))
+        assert wide.multiply(narrow) == narrow.multiply(wide) == product
+        shifted = make_surd(Fraction(1), Fraction(1), Fraction(20402))
+        # (1 + 101*sqrt(2))^2 = 20403 + 202*sqrt(2) = 20403 + 2*sqrt(20402)
+        assert shifted.multiply(make_surd(Fraction(1), Fraction(101), Fraction(2))) \
+            == Surd(Fraction(20403), Fraction(2), Fraction(20402))
+
     def test_square_is_rational_when_a_zero(self):
         s = Surd(Fraction(0), Fraction(1, 2), Fraction(2))
         assert s.square() == Surd(Fraction(1, 2), Fraction(0), Fraction(0))
