@@ -9,10 +9,9 @@ from .exact import (ExactCosine, RationalAngle, Surd, TriangleVerdict,
                     spherical_third_side)
 from .lattice import (LatticePoint, PNO, apply_i, build_spinorial_circle,
                       canonical_bitstring, interpolated_circle, ones_fraction,
-                      quaternion_apply, zeta)
+                      zeta)
 from .reduction import (IntegerPair, ReductionTrace, measure, reduce_step,
                         to_integer_pair, two_adic_distance)
 from .states import (HiddenPermutation, QubitState, TwoQubitParams,
-                     TwoQubitState, counterfactual_setting_change, dof,
-                     make_qubit, make_singlet, make_two_qubit,
-                     swap_perspective)
+                     TwoQubitState, counterfactual_setting_change, make_qubit,
+                     make_singlet, make_two_qubit, swap_perspective)

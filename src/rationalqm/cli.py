@@ -101,6 +101,18 @@ def _angle(text: str) -> RationalAngle:
     return RationalAngle(_frac(text))
 
 
+def _csv_path(text: str) -> str:
+    if text == "-":
+        raise argparse.ArgumentTypeError("'-' is not accepted: CSV goes to a file, "
+                                         "never to stdout")
+    return text
+
+
+def _signs(bits) -> str:
+    """A +1/-1 string written as '+' and '-' characters."""
+    return "".join("+" if b == 1 else "-" for b in bits)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -110,18 +122,14 @@ def cmd_sphere(args) -> int:
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             lattice_to_csv(args.L, fh)
-    points = list(iter_lattice(args.L)) if args.L <= 8 else []
-    report = {
-        "L": args.L,
-        "points": count,
-        "rows": [{"m": p.m, "n": p.n, "cos_theta": p.cos_theta,
-                  "bits": list(canonical_bitstring(p))}
-                 for p in points] if args.L <= 8 else None,
-    }
+    report = {"L": args.L, "points": count, "rows": None}
     lines = [f"lattice at L={args.L}: {count} points"]
-    for p in points:
-        bits = "".join("+" if b == 1 else "-" for b in canonical_bitstring(p))
-        lines.append(f"  m={p.m:>2} n={p.n:>2} cos_theta={p.cos_theta}  {bits}")
+    if args.L <= 8:  # every point is listed only on small lattices
+        points = [(p, canonical_bitstring(p)) for p in iter_lattice(args.L)]
+        report["rows"] = [{"m": p.m, "n": p.n, "cos_theta": p.cos_theta,
+                           "bits": list(bits)} for p, bits in points]
+        lines += [f"  m={p.m:>2} n={p.n:>2} cos_theta={p.cos_theta}  {_signs(bits)}"
+                  for p, bits in points]
     if args.csv:
         lines.append(f"csv written to {args.csv}")
     emit(args, report, lines)
@@ -151,8 +159,8 @@ def cmd_state(args) -> int:
         record = two_qubit_to_json(state)
         lines = [f"singlet at cos theta_AB = {args.singlet_cos}, L={args.L}, "
                  f"seed={args.seed}",
-                 "top:    " + "".join("+" if b == 1 else "-" for b in state.top),
-                 "bottom: " + "".join("+" if b == 1 else "-" for b in state.bottom)]
+                 "top:    " + _signs(state.top),
+                 "bottom: " + _signs(state.bottom)]
     else:
         if args.m is None:
             raise ValueError("state needs --m (or --singlet-cos)")
@@ -160,7 +168,7 @@ def cmd_state(args) -> int:
         state = make_qubit(point, xi)
         record = qubit_to_json(state)
         lines = [f"qubit at (m={args.m}, n={args.n}, L={args.L}), seed={args.seed}",
-                 "string: " + "".join("+" if b == 1 else "-" for b in state.string)]
+                 "string: " + _signs(state.string)]
     emit(args, record, lines)
     return 0
 
@@ -323,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sphere", cmd_sphere, "enumerate the lattice at granularity L")
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--csv", metavar="PATH")
+    p.add_argument("--csv", metavar="PATH", type=_csv_path)
 
     p = add("niven", cmd_niven, "classify cos of a rational-turn angle")
     p.add_argument("--turns", type=_angle, required=True)
@@ -375,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", metavar="PATH",
                    help="key=value config file (angles, L, trials, seed)")
-    p.add_argument("--csv", metavar="PATH")
+    p.add_argument("--csv", metavar="PATH", type=_csv_path)
 
     return parser
 

@@ -48,10 +48,6 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
-class MixedRadicalError(ArithmeticError):
-    """Raised when an operation would need more than one radical per value."""
-
-
 def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
@@ -180,28 +176,6 @@ class Surd:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def multiply(self, other: "Surd") -> "Surd":
-        """Product of two surds over the same radical; mixed radicals are
-        rejected rather than widened to a field tower. A radicand need not
-        be squarefree, so one radical can come in two forms: sqrt(d2) is
-        sqrt(d1*d2)/d1 * sqrt(d1) whenever d1*d2 is a perfect square.
-        """
-        if self.b != 0 and other.b != 0 and self.d != other.d:
-            root = is_perfect_square(self.d * other.d)
-            if root is None:
-                raise MixedRadicalError(
-                    f"cannot multiply surds over sqrt({self.d}) and sqrt({other.d})")
-            other = Surd(other.a, other.b * root / self.d, self.d)
-        d = self.d if self.b != 0 else other.d
-        a = self.a * other.a + self.b * other.b * d
-        b = self.a * other.b + self.b * other.a
-        if b == 0:
-            return Surd(a, Fraction(0), Fraction(0))
-        return Surd(a, b, d)
-
-    def square(self) -> "Surd":
-        return self.multiply(self)
-
     def numeric(self, prec: int = 200) -> mpmath.mpf:
         import mpmath
         with mpmath.workprec(prec):
@@ -212,24 +186,9 @@ class Surd:
             return out
 
 
-def make_surd(a: Fraction, b: Fraction, radicand: Fraction) -> Union[Fraction, Surd]:
-    """Canonicalise a + b*sqrt(radicand).
-
-    Collapses to a plain Fraction when the value is rational; otherwise
-    normalises the radicand to a non-square positive integer, pulling
-    denominators and small square factors into the coefficient.
-    """
-    a, b, radicand = _as_fraction(a), _as_fraction(b), _as_fraction(radicand)
-    p, q = radicand.numerator, radicand.denominator
-    if p < 0:
-        raise ValueError(f"negative radicand {radicand}")
-    if b == 0 or p == 0:
-        return a
-    return _surd(a, b, p, q)
-
-
 def _surd(a: Fraction, b: Union[int, Fraction], p: int, q: int) -> Union[Fraction, Surd]:
-    """make_surd for a nonzero b and a radicand given as a reduced p/q > 0."""
+    """Canonical a + b*sqrt(p/q) for b != 0 and a reduced p/q > 0: a Fraction
+    when rational, else a Surd over a non-square integer radicand."""
     rp, rq = math.isqrt(p), math.isqrt(q)
     if rp * rp == p and rq * rq == q:
         return a + b * Fraction(rp, rq)

@@ -1,18 +1,18 @@
 """Physics demonstrations on the discretised sphere: interferometer
-definability, delayed choice, phase-splitting identities, uncertainty
-relations, counterfactual non-commutativity, and the Bell harness.
+definability, delayed choice, uncertainty relations, counterfactual
+non-commutativity, and the Bell harness.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-from .exact import (ExactCosine, RationalAngle, TriangleVerdict, cos_squared,
-                    itc_verdict, niven_cosine)
+from .exact import (ExactCosine, RationalAngle, TriangleVerdict, itc_verdict,
+                    niven_cosine)
 from .lattice import LatticePoint
 from .states import (HiddenPermutation, canonical_two_qubit_strings,
                      make_singlet, singlet_params)
@@ -123,64 +123,6 @@ def delayed_choice(phi: RationalAngle, second_mirror_in: bool) -> DelayedChoiceR
     return DelayedChoiceReport(phi=phi, second_mirror_in=False,
                                demanded="phi/2pi rational",
                                satisfied=True, certificate=cert)
-
-
-# ---------------------------------------------------------------------------
-# Phase-splitting identities (sum/difference of unit phasors)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IdentityReport:
-    phi_a: RationalAngle
-    phi_b: RationalAngle
-    sum_identity_ok: bool
-    diff_identity_ok: bool
-    difference_is_zero: bool
-    half_diff: RationalAngle
-    cos_sq_half_diff: Optional[Fraction]
-    sin_sq_half_diff: Optional[Fraction]
-    amplitude_rational: bool
-    clash: bool           # amplitude and phase rationality mutually exclusive
-    exception_hit: bool   # both hold: the sparse exceptional set
-
-
-def identity_split_check(phi_a: RationalAngle, phi_b: RationalAngle) -> IdentityReport:
-    """Verify the phasor sum/difference identities at 200-bit precision and
-    report the rationality clash between the split amplitudes and the
-    individual phases.
-
-    The finite-difference (momentum) reading is the difference identity with
-    half-difference argument: its amplitude is rational iff sin^2 of the
-    half-difference is rational, which fails off the exceptional set.
-    """
-    import mpmath
-    with mpmath.workprec(PRECISION_BITS):
-        ea, eb = _cis(phi_a), _cis(phi_b)
-        half_sum_rad = (phi_a.radians(PRECISION_BITS)
-                        + phi_b.radians(PRECISION_BITS)) / 2
-        half_diff_rad = (phi_a.radians(PRECISION_BITS)
-                         - phi_b.radians(PRECISION_BITS)) / 2
-        mid = mpmath.exp(1j * half_sum_rad)
-        res_sum = abs(2 * mpmath.cos(half_diff_rad) * mid - (ea + eb))
-        res_diff = abs(2j * mpmath.sin(half_diff_rad) * mid - (ea - eb))
-        diff_zero = abs(ea - eb) < RESIDUAL_TOL
-
-    half_diff = RationalAngle((phi_a.turns - phi_b.turns) / 2)
-    c2 = cos_squared(half_diff)
-    s2 = None if c2 is None else 1 - c2
-    amplitude_rational = c2 is not None
-    return IdentityReport(
-        phi_a=phi_a, phi_b=phi_b,
-        sum_identity_ok=bool(res_sum < RESIDUAL_TOL),
-        diff_identity_ok=bool(res_diff < RESIDUAL_TOL),
-        difference_is_zero=bool(diff_zero),
-        half_diff=half_diff,
-        cos_sq_half_diff=c2,
-        sin_sq_half_diff=s2,
-        amplitude_rational=amplitude_rational,
-        clash=not amplitude_rational,
-        exception_hit=amplitude_rational,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -535,52 +477,3 @@ def single_trial_outcomes(cos_theta_ab: Fraction, L: int,
     state = make_singlet(cos_theta_ab, L, xi)
     return measure(state.top).outcome, measure(state.bottom).outcome
 
-
-# ---------------------------------------------------------------------------
-# Bell-sum definability
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BellSumReport:
-    cos_ab: Fraction
-    cos_ac: Fraction
-    phi_a: RationalAngle
-    first_counterfactual_satisfiable: bool
-    second_verdict: TriangleVerdict
-    bellsum_defined: bool
-    degenerate: bool
-    nominal_setting_independent: bool
-    exact_setting_independent: bool
-    reason: str
-
-
-def bellsum_definability(setting_ab: NominalSetting, setting_ac: NominalSetting,
-                         phi_a: RationalAngle) -> BellSumReport:
-    """Definability of the per-hidden-variable three-correlation sum.
-
-    The first counterfactual (a free exact third setting in its nominal
-    neighbourhood) is always satisfiable. The second requires the remaining
-    relative cosine rational given the exact interior angle at the shared
-    vertex, which is the impossible-triangle question. Hidden variables are
-    drawn independently of nominal settings, but the set on which all three
-    products are defined depends on the exact settings.
-    """
-    verdict = itc_verdict(setting_ab.exact_cos, setting_ac.exact_cos, phi_a)
-    degenerate = verdict.reason == "degenerate"
-    defined = verdict.possible
-    if degenerate:
-        reason = "degenerate configuration: trivially definable"
-    elif defined:
-        reason = "exceptional angle set: all three correlation terms defined"
-    else:
-        reason = ("second counterfactual undefined: third relative cosine "
-                  "cannot be rational")
-    return BellSumReport(
-        cos_ab=setting_ab.exact_cos, cos_ac=setting_ac.exact_cos, phi_a=phi_a,
-        first_counterfactual_satisfiable=True,
-        second_verdict=verdict,
-        bellsum_defined=defined,
-        degenerate=degenerate,
-        nominal_setting_independent=True,
-        exact_setting_independent=defined,
-        reason=reason)

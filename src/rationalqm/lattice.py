@@ -38,36 +38,10 @@ class PNO:
         if len(self.signs) != n or not all(x in (1, -1) for x in self.signs):
             raise ValueError("signs must be +1/-1 of matching length")
 
-    @classmethod
-    def identity(cls, n: int) -> "PNO":
-        return cls(tuple(range(n)), (1,) * n)
-
-    @classmethod
-    def negation(cls, n: int) -> "PNO":
-        return cls(tuple(range(n)), (-1,) * n)
-
     def apply(self, s: Sequence[int]) -> Bits:
         if len(s) != len(self.perm):
             raise ValueError(f"operator arity {len(self.perm)} != string length {len(s)}")
         return tuple(self.signs[i] * s[self.perm[i]] for i in range(len(s)))
-
-    def compose(self, other: "PNO") -> "PNO":
-        """self after other: (self . other).apply(s) == self.apply(other.apply(s))."""
-        if len(self.perm) != len(other.perm):
-            raise ValueError("arity mismatch")
-        perm = tuple(other.perm[self.perm[i]] for i in range(len(self.perm)))
-        signs = tuple(self.signs[i] * other.signs[self.perm[i]]
-                      for i in range(len(self.perm)))
-        return PNO(perm, signs)
-
-    def inverse(self) -> "PNO":
-        n = len(self.perm)
-        perm = [0] * n
-        signs = [1] * n
-        for i, j in enumerate(self.perm):
-            perm[j] = i
-            signs[j] = self.signs[i]
-        return PNO(tuple(perm), tuple(signs))
 
 
 # The length-2 generator: i{a1, a2} = {-a2, a1}, so i^2 is global negation.
@@ -89,18 +63,6 @@ def apply_i(pair: Sequence[int]) -> Bits:
     return I_GENERATOR.apply(s)
 
 
-def quaternion_apply(which: str, s: Sequence[int]) -> Bits:
-    """Apply one of the quaternion units I, J, K to a length-4 string."""
-    bits = validate_bits(s)
-    if len(bits) != 4:
-        raise ValueError(f"quaternions act on length-4 strings, got length {len(bits)}")
-    try:
-        op = QUATERNIONS[which]
-    except KeyError:
-        raise ValueError(f"unknown quaternion unit {which!r}, expected I, J or K")
-    return op.apply(bits)
-
-
 def zeta(s: Sequence[int], k: int = 1) -> Bits:
     """k-fold cyclic left shift; one application is a rotation by 2pi/L."""
     bits = validate_bits(s)
@@ -115,11 +77,6 @@ def ones_fraction(s: Sequence[int]) -> Fraction:
     if not bits:
         raise ValueError("empty bit string")
     return Fraction(sum(1 for b in bits if b == 1), len(bits))
-
-
-def cos_theta(s: Sequence[int]) -> Fraction:
-    """Latitude of a string: cos(theta) = 2 * ones_fraction - 1."""
-    return 2 * ones_fraction(s) - 1
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,11 @@ after L-1 steps the single surviving digit is the string's first bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence
 
-from .lattice import Bits, validate_bits
+from .lattice import validate_bits
 
 
 class AlreadyReducedError(ValueError):
@@ -51,11 +50,6 @@ def to_integer_pair(s: Sequence[int]) -> IntegerPair:
         plus = (plus << 1) | (1 if b == 1 else 0)
     mask = (1 << len(bits)) - 1
     return IntegerPair(plus=plus, minus=plus ^ mask, width=len(bits))
-
-
-def from_integer_pair(p: IntegerPair) -> Bits:
-    return tuple(1 if (p.plus >> (p.width - 1 - i)) & 1 else -1
-                 for i in range(p.width))
 
 
 def reduce_step(p: IntegerPair) -> IntegerPair:
@@ -113,11 +107,3 @@ def two_adic_distance(a: int, b: int) -> Fraction:
         return Fraction(0)
     return Fraction(1, 2 ** two_adic_valuation(a - b))
 
-
-def trace_to_json_lines(trace: ReductionTrace) -> str:
-    lines = []
-    for k, pair in enumerate(trace.steps):
-        plus_bits, minus_bits = pair.bit_strings()
-        lines.append(json.dumps({"step": k, "plus_bits": plus_bits,
-                                 "minus_bits": minus_bits}))
-    return "\n".join(lines)

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .lattice import (Bits, LatticePoint, block_string, canonical_bitstring,
-                      ones_fraction, validate_bits, zeta)
+from .lattice import Bits, LatticePoint, block_string, canonical_bitstring, zeta
 
 
 class LatticeUnrealisableError(ValueError):
@@ -56,21 +55,11 @@ class HiddenPermutation:
     def from_seed(cls, seed: int, size: int) -> "HiddenPermutation":
         return cls(size=size, seed=seed)
 
-    @classmethod
-    def identity(cls, size: int) -> "HiddenPermutation":
-        return cls(size=size, perm=tuple(range(size)))
-
     def apply(self, s: Sequence[int]) -> Bits:
         """output[i] = input[perm[i]]; a pure reordering, no sign flips."""
         if len(s) != self.size:
             raise ValueError(f"permutation size {self.size} != string length {len(s)}")
         return tuple(s[j] for j in self.perm)
-
-    @property
-    def front_source(self) -> int:
-        """The source position that lands first after permuting: the
-        measurement position selected by this hidden variable."""
-        return self.perm[0]
 
 
 @dataclass(frozen=True)
@@ -79,23 +68,11 @@ class QubitState:
     xi: HiddenPermutation
     string: Bits
 
-    @property
-    def canonical(self) -> Bits:
-        """Equivalence-class representative: all +1s sorted to the front."""
-        return tuple(sorted(self.string, reverse=True))
-
 
 def make_qubit(point: LatticePoint, xi: HiddenPermutation) -> QubitState:
     if xi.size != point.L:
         raise ValueError(f"xi acts on {xi.size} positions but L = {point.L}")
     return QubitState(point=point, xi=xi, string=xi.apply(canonical_bitstring(point)))
-
-
-def dof(N: int) -> int:
-    """Real degrees of freedom of an N-qubit state: 2^(N+1) - 2."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    return 2 ** (N + 1) - 2
 
 
 @dataclass(frozen=True)
@@ -299,7 +276,3 @@ def qubit_to_json(state: QubitState) -> dict:
         "xi_seed": state.xi.seed,
         "string": state.string,
     }
-
-
-def check_ones_invariant(state: QubitState) -> bool:
-    return ones_fraction(state.string) == state.point.ones

@@ -263,6 +263,19 @@ class TestExitCodes:
         assert code == 2
         assert "exactly three angles" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("sphere", "--L", "4"),
+        ("bell", "--angles", "0,1/6,1/3", "--L", "360", "--trials", "1000",
+         "--seed", "1"),
+    ], ids=["sphere", "bell"])
+    def test_csv_dash_rejected(self, capsys, tmp_path, monkeypatch, argv):
+        # '-' is stdout for --json but never for --csv: no file named '-'
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--csv", "-")
+        assert code == 2
+        assert "--csv" in err and out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_tiny_bell_run(self, capsys):
         code, _, err = run(capsys, "bell", "--angles", "0,1/6,1/3", "--L", "360",
                            "--trials", "10", "--seed", "1")

@@ -1,7 +1,8 @@
 """Property test of the CLI contract: for any argv built from the flags of a
-subcommand, `main` exits 0, 2 or 3 without raising, and a successful run's
-`--json -` output parses. Sizes stay small (L <= 32, trials <= 1000); how
-the commands behave in memory at huge L is not covered here."""
+subcommand, `main` exits 0, 2 or 3 without raising, a successful run's
+`--json -` output parses, and `--csv -` never leaves a file named '-'.
+Sizes stay small (L <= 32, trials <= 1000); how the commands behave in
+memory at huge L is not covered here."""
 
 import contextlib
 import io
@@ -65,7 +66,7 @@ def fixed(**options):
 
 COMMANDS = {
     "sphere": fixed(**{"--L": st.integers(1, 32),
-                       "--csv": st.just("sphere.csv")}),
+                       "--csv": st.sampled_from(["sphere.csv", "-"])}),
     "niven": fixed(**{"--turns": turns}),
     "itc": fixed(**{"--cos-ab": cosine, "--cos-bc": cosine, "--turns": turns}),
     "state": st.one_of(
@@ -82,7 +83,8 @@ COMMANDS = {
     "bell": fixed(**{"--angles": st.lists(turns, min_size=3, max_size=3)
                      .map(",".join),
                      "--L": even_L, "--trials": st.integers(100, 1000),
-                     "--seed": seed, "--csv": st.just("bell.csv")}),
+                     "--seed": seed,
+                     "--csv": st.sampled_from(["bell.csv", "-"])}),
 }
 
 
@@ -103,5 +105,6 @@ def test_main_keeps_its_contract(command, tmp_path, monkeypatch):
             assert payload["manifest"]["command"] == command
         else:
             assert err.getvalue(), argv
+        assert not (tmp_path / "-").exists(), argv
 
     check()

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rationalqm.exact import (CosineKind, ExactCosine, MixedRadicalError,
+from rationalqm.exact import (CosineKind, ExactCosine,
                               RATIONAL_COS_DENOMINATORS,
                               RATIONAL_COS_SQ_DENOMINATORS, RationalAngle,
                               Surd, cos_squared, is_perfect_square,
-                              itc_verdict, make_surd, niven_cosine,
-                              parse_fraction, spherical_third_side)
+                              itc_verdict, niven_cosine, parse_fraction,
+                              spherical_third_side)
 
 TOL = mpmath.mpf(2) ** -150
 
@@ -70,6 +70,12 @@ class TestNivenCosine:
                 assert abs(float(c2) - math.cos(2 * math.pi / d) ** 2) < 1e-12
             else:
                 assert c2 is None
+        # cos^2 of the half difference of two phases decides whether the
+        # split amplitude is rational: half differences 0 and 1/12 turn are
+        # exceptional, 1/10 turn is generic
+        assert cos_squared(RationalAngle(0)) == 1
+        assert cos_squared(RationalAngle(Fraction(1, 12))) == Fraction(3, 4)
+        assert cos_squared(RationalAngle(Fraction(1, 10))) is None
 
 
 class TestPerfectSquare:
@@ -92,40 +98,31 @@ class TestPerfectSquare:
 
 
 class TestSurd:
+    # Surds reach the public API only as certificates, so canonical form is
+    # checked on third sides at interior angles with rational cos^2.
     def test_perfect_square_radicand_collapses(self):
-        assert make_surd(Fraction(1), Fraction(2), Fraction(9, 4)) == Fraction(4)
+        # sqrt(8/9) * cos(pi/4) = sqrt(4/9)
+        out = spherical_third_side(Fraction(1, 3), Fraction(0),
+                                   RationalAngle(Fraction(1, 8)))
+        assert out.is_rational and out.rational == Fraction(2, 3)
 
     def test_small_square_factors_extracted(self):
-        s = make_surd(Fraction(0), Fraction(1), Fraction(8))
-        assert s == Surd(Fraction(0), Fraction(2), Fraction(2))
+        # 1/9 + sqrt(64/81) * cos(pi/4) = 1/9 + sqrt(2592)/81 = 1/9 + 4/9 * sqrt(2)
+        out = spherical_third_side(Fraction(1, 3), Fraction(1, 3),
+                                   RationalAngle(Fraction(1, 8)))
+        assert out.surd == Surd(Fraction(1, 9), Fraction(4, 9), Fraction(2))
 
     def test_certificate_invariants(self):
-        s = make_surd(Fraction(1, 3), Fraction(-1, 2), Fraction(3, 5))
-        assert isinstance(s, Surd) and s.b != 0
-        assert is_perfect_square(s.d) is None
-
-    def test_mixed_radicals_rejected(self):
-        a = Surd(Fraction(0), Fraction(1), Fraction(2))
-        b = Surd(Fraction(0), Fraction(1), Fraction(3))
-        with pytest.raises(MixedRadicalError):
-            a.multiply(b)
-
-    def test_one_radical_in_two_forms(self):
-        # 101 lies above the primes _extract_square_factor strips, so
-        # sqrt(2 * 101^2) keeps its square factor in the radicand
-        wide = make_surd(Fraction(0), Fraction(1), Fraction(2 * 101 ** 2))
-        narrow = make_surd(Fraction(0), Fraction(101), Fraction(2))
-        assert wide.d == 20402 and narrow.d == 2
-        product = Surd(Fraction(20402), Fraction(0), Fraction(0))
-        assert wide.multiply(narrow) == narrow.multiply(wide) == product
-        shifted = make_surd(Fraction(1), Fraction(1), Fraction(20402))
-        # (1 + 101*sqrt(2))^2 = 20403 + 202*sqrt(2) = 20403 + 2*sqrt(20402)
-        assert shifted.multiply(make_surd(Fraction(1), Fraction(101), Fraction(2))) \
-            == Surd(Fraction(20403), Fraction(2), Fraction(20402))
-
-    def test_square_is_rational_when_a_zero(self):
-        s = Surd(Fraction(0), Fraction(1, 2), Fraction(2))
-        assert s.square() == Surd(Fraction(1, 2), Fraction(0), Fraction(0))
+        sides = [Fraction(p, q) for q in range(1, 6) for p in range(-q + 1, q)]
+        for turns in ("1/8", "3/8", "1/12", "5/12"):
+            for a in sides:
+                for b in sides:
+                    out = spherical_third_side(a, b,
+                                               RationalAngle.from_string(turns))
+                    if out.kind is CosineKind.IRRATIONAL_SURD:
+                        s = out.surd
+                        assert s.b != 0 and s.d.denominator == 1
+                        assert is_perfect_square(s.d) is None
 
 
 class TestSphericalThirdSide:

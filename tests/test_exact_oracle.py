@@ -7,7 +7,11 @@ decided by the minimal polynomial of a - b being x.
 
 import math
 import random
+import re
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import sympy
 
@@ -100,3 +104,18 @@ def test_sampled_surd_verdicts_are_exact():
         surds += third.kind is CosineKind.IRRATIONAL_SURD
         assert is_zero(sym_third_side(cos_ab, cos_bc, turns)
                        - certificate_value(third)), (cos_ab, cos_bc, turns)
+
+
+def test_scan_script_prints_only_exact_exceptions(capsys, monkeypatch):
+    script = (Path(__file__).resolve().parents[1] / "scripts"
+              / "scan_triangle_exceptions.py")
+    monkeypatch.setattr(sys, "argv", [str(script), "--max-den", "5"])
+    assert runpy.run_path(str(script))["main"]() == 0
+    lines = capsys.readouterr().out.splitlines()
+    row = re.compile(r"cos_ab=(\S+), cos_bc=(\S+), phi=(\S+) turns -> (\S+)$")
+    found = [row.match(line).groups() for line in lines[:-1]]
+    assert lines[-1] == f"{len(found)} exceptional triangles found"
+    assert len(found) == 64
+    for cos_ab, cos_bc, turns, printed in found:
+        exact = sym_third_side(Fraction(cos_ab), Fraction(cos_bc), Fraction(turns))
+        assert is_zero(exact - sym(Fraction(printed))), (cos_ab, cos_bc, turns)

@@ -10,9 +10,8 @@ from rationalqm.exact import RationalAngle
 from rationalqm.experiments import (SnapInfeasibleError,
                                     _sum_at_uniform_positions,
                                     aggregate_directions,
-                                    bell_run, bellsum_definability,
-                                    delayed_choice, exact_setting,
-                                    identity_split_check, mz_simulate,
+                                    bell_run, delayed_choice, exact_setting,
+                                    mz_simulate,
                                     position_momentum_aggregate,
                                     sg_counterfactual, single_trial_outcomes,
                                     snap_to_lattice, uncertainty_check)
@@ -78,29 +77,6 @@ class TestDelayedChoice:
         late_out = delayed_choice(phi, False)
         assert late_in.demanded != late_out.demanded
         assert late_in.certificate == late_out.certificate
-
-
-class TestIdentitySplit:
-    def test_identities_hold_at_high_precision(self):
-        report = identity_split_check(angle("1/5"), angle("1/7"))
-        assert report.sum_identity_ok and report.diff_identity_ok
-
-    def test_equal_phases(self):
-        report = identity_split_check(angle("1/5"), angle("1/5"))
-        assert report.difference_is_zero
-        assert report.exception_hit  # half difference 0 has rational cos^2
-
-    def test_exceptional_pair(self):
-        # half difference 1/12 of a turn: cos^2 = 3/4 rational
-        report = identity_split_check(angle("1/6"), angle("0"))
-        assert report.exception_hit and not report.clash
-        assert report.cos_sq_half_diff == Fraction(3, 4)
-        assert report.sin_sq_half_diff == Fraction(1, 4)
-
-    def test_generic_pair_clashes(self):
-        report = identity_split_check(angle("1/5"), angle("0"))
-        assert report.clash and not report.exception_hit
-        assert report.cos_sq_half_diff is None
 
 
 class TestUncertainty:
@@ -202,10 +178,11 @@ class TestSnapping:
 
 class TestSternGerlach:
     def test_generic_settings_not_definable(self):
-        report = sg_counterfactual(exact_setting(Fraction(3, 5)),
-                                   exact_setting(Fraction(4, 5)),
-                                   angle("179/360"))
-        assert not report.definable
+        for phi_b in ("179/360", "181/360"):
+            report = sg_counterfactual(exact_setting(Fraction(3, 5)),
+                                       exact_setting(Fraction(4, 5)),
+                                       angle(phi_b))
+            assert not report.definable and not report.degenerate
 
     def test_exceptional_settings_definable(self):
         report = sg_counterfactual(exact_setting(Fraction(3, 5)),
@@ -215,10 +192,10 @@ class TestSternGerlach:
         assert report.verdict.third_side.rational == Fraction(-7, 25)
 
     def test_degenerate(self):
-        report = sg_counterfactual(exact_setting(Fraction(1)),
-                                   exact_setting(Fraction(1, 3)),
-                                   angle("1/7"))
-        assert report.definable and report.degenerate
+        for cos_bc, phi_b in ((Fraction(1, 3), "1/7"), (Fraction(0), "1/5")):
+            report = sg_counterfactual(exact_setting(Fraction(1)),
+                                       exact_setting(cos_bc), angle(phi_b))
+            assert report.definable and report.degenerate
 
 
 class TestBellHarness:
@@ -300,7 +277,7 @@ class TestBellHarness:
         for seed in range(50):
             xi = HiddenPermutation.from_seed(seed, 8)
             state = make_singlet(Fraction(1, 2), 8, xi)
-            pos = xi.front_source
+            pos = xi.perm[0]
             assert single_trial_outcomes(Fraction(1, 2), 8, seed) == (
                 state.top_canonical[pos], state.bottom_canonical[pos])
 
@@ -333,26 +310,3 @@ class TestUniformPositionSum:
         with pytest.raises(ValueError):
             _sum_at_uniform_positions([], 1, random.Random(0))
 
-
-class TestBellSum:
-    def test_generic_settings_undefined(self):
-        report = bellsum_definability(exact_setting(Fraction(3, 5)),
-                                      exact_setting(Fraction(4, 5)),
-                                      angle("181/360"))
-        assert report.first_counterfactual_satisfiable
-        assert not report.bellsum_defined
-        assert report.nominal_setting_independent
-        assert not report.exact_setting_independent
-
-    def test_exceptional_settings_defined(self):
-        report = bellsum_definability(exact_setting(Fraction(3, 5)),
-                                      exact_setting(Fraction(3, 5)),
-                                      angle("1/2"))
-        assert report.bellsum_defined
-        assert report.exact_setting_independent
-
-    def test_degenerate_settings(self):
-        report = bellsum_definability(exact_setting(Fraction(1)),
-                                      exact_setting(Fraction(0)),
-                                      angle("1/5"))
-        assert report.degenerate and report.bellsum_defined

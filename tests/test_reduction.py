@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rationalqm.lattice import LatticePoint
-from rationalqm.reduction import (AlreadyReducedError, IntegerPair,
-                                  from_integer_pair, measure, reduce_step,
-                                  to_integer_pair, trace_to_json_lines,
+from rationalqm.reduction import (AlreadyReducedError, IntegerPair, measure,
+                                  reduce_step, to_integer_pair,
                                   two_adic_distance, two_adic_valuation)
 from rationalqm.states import HiddenPermutation, make_qubit
 
@@ -38,7 +37,9 @@ class TestIntegerPair:
     def test_round_trip_exhaustive(self):
         for L in range(1, 13):
             for combo in itertools.product((1, -1), repeat=L):
-                assert from_integer_pair(to_integer_pair(combo)) == combo
+                plus, minus = to_integer_pair(combo).bit_strings()
+                assert tuple(1 if c == "1" else -1 for c in plus) == combo
+                assert tuple(-1 if c == "1" else 1 for c in minus) == combo
 
     @given(bits_strategy)
     def test_complement_is_structural(self, s):
@@ -96,11 +97,6 @@ class TestReduction:
             measure((1, 0, -1))
         with pytest.raises(ValueError):
             measure(())
-
-    def test_trace_json_lines(self):
-        lines = trace_to_json_lines(measure((1, -1))).splitlines()
-        assert len(lines) == 2
-        assert '"plus_bits": "10"' in lines[0]
 
     def test_born_statistics_small(self):
         # point (m=3, L=4): outcome +1 with probability 3/4 under uniform xi
