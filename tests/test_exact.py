@@ -70,12 +70,6 @@ class TestNivenCosine:
                 assert abs(float(c2) - math.cos(2 * math.pi / d) ** 2) < 1e-12
             else:
                 assert c2 is None
-        # cos^2 of the half difference of two phases decides whether the
-        # split amplitude is rational: half differences 0 and 1/12 turn are
-        # exceptional, 1/10 turn is generic
-        assert cos_squared(RationalAngle(0)) == 1
-        assert cos_squared(RationalAngle(Fraction(1, 12))) == Fraction(3, 4)
-        assert cos_squared(RationalAngle(Fraction(1, 10))) is None
 
 
 class TestPerfectSquare:

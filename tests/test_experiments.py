@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from rationalqm import experiments
-from rationalqm.exact import RationalAngle
+from rationalqm.exact import RationalAngle, cos_squared
 from rationalqm.experiments import (SnapInfeasibleError,
                                     _sum_at_uniform_positions,
                                     aggregate_directions,
@@ -77,6 +77,26 @@ class TestDelayedChoice:
         late_out = delayed_choice(phi, False)
         assert late_in.demanded != late_out.demanded
         assert late_in.certificate == late_out.certificate
+
+
+def half_difference(phi_a, phi_b):
+    return RationalAngle((angle(phi_a).turns - angle(phi_b).turns) / 2)
+
+
+class TestIdentitySplit:
+    """The split amplitude 2cos((a-b)/2) of two phases is rational exactly
+    when cos^2 of the half difference is."""
+
+    def test_equal_phases(self):
+        assert cos_squared(half_difference("1/5", "1/5")) == 1
+
+    def test_exceptional_pair(self):
+        # half difference 1/12 of a turn: cos^2 = 3/4 rational
+        assert cos_squared(half_difference("1/6", "0")) == Fraction(3, 4)
+
+    def test_generic_pair_clashes(self):
+        # half difference 1/10 of a turn: cos^2 irrational
+        assert cos_squared(half_difference("1/5", "0")) is None
 
 
 class TestUncertainty:
@@ -178,11 +198,10 @@ class TestSnapping:
 
 class TestSternGerlach:
     def test_generic_settings_not_definable(self):
-        for phi_b in ("179/360", "181/360"):
-            report = sg_counterfactual(exact_setting(Fraction(3, 5)),
-                                       exact_setting(Fraction(4, 5)),
-                                       angle(phi_b))
-            assert not report.definable and not report.degenerate
+        report = sg_counterfactual(exact_setting(Fraction(3, 5)),
+                                   exact_setting(Fraction(4, 5)),
+                                   angle("179/360"))
+        assert not report.definable
 
     def test_exceptional_settings_definable(self):
         report = sg_counterfactual(exact_setting(Fraction(3, 5)),
@@ -192,10 +211,10 @@ class TestSternGerlach:
         assert report.verdict.third_side.rational == Fraction(-7, 25)
 
     def test_degenerate(self):
-        for cos_bc, phi_b in ((Fraction(1, 3), "1/7"), (Fraction(0), "1/5")):
-            report = sg_counterfactual(exact_setting(Fraction(1)),
-                                       exact_setting(cos_bc), angle(phi_b))
-            assert report.definable and report.degenerate
+        report = sg_counterfactual(exact_setting(Fraction(1)),
+                                   exact_setting(Fraction(1, 3)),
+                                   angle("1/7"))
+        assert report.definable and report.degenerate
 
 
 class TestBellHarness:
@@ -310,3 +329,25 @@ class TestUniformPositionSum:
         with pytest.raises(ValueError):
             _sum_at_uniform_positions([], 1, random.Random(0))
 
+
+class TestBellSum:
+    """The Bell sum is defined for a pair of settings exactly when the
+    Stern-Gerlach counterfactual third setting is."""
+
+    def test_generic_settings_undefined(self):
+        report = sg_counterfactual(exact_setting(Fraction(3, 5)),
+                                   exact_setting(Fraction(4, 5)),
+                                   angle("181/360"))
+        assert not report.definable and not report.degenerate
+
+    def test_exceptional_settings_defined(self):
+        report = sg_counterfactual(exact_setting(Fraction(3, 5)),
+                                   exact_setting(Fraction(3, 5)),
+                                   angle("1/2"))
+        assert report.definable and not report.degenerate
+
+    def test_degenerate_settings(self):
+        report = sg_counterfactual(exact_setting(Fraction(1)),
+                                   exact_setting(Fraction(0)),
+                                   angle("1/5"))
+        assert report.definable and report.degenerate
