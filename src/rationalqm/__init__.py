@@ -12,6 +12,6 @@ from .lattice import (LatticePoint, PNO, apply_i, build_spinorial_circle,
                       zeta)
 from .reduction import (IntegerPair, ReductionTrace, measure, reduce_step,
                         to_integer_pair, two_adic_distance)
-from .states import (HiddenPermutation, QubitState, TwoQubitParams,
-                     TwoQubitState, counterfactual_setting_change, make_qubit,
-                     make_singlet, make_two_qubit, swap_perspective)
+from .states import (QubitState, TwoQubitParams, TwoQubitState,
+                     counterfactual_setting_change, make_qubit, make_singlet,
+                     make_two_qubit, swap_perspective)

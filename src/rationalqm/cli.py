@@ -21,15 +21,13 @@ from typing import Any, Dict, List, Optional
 
 from . import __version__
 from .exact import RationalAngle, itc_verdict, niven_cosine, parse_fraction
-from .experiments import (SnapInfeasibleError, bell_run, delayed_choice,
-                          exact_setting, mz_simulate,
+from .experiments import (bell_run, delayed_choice, mz_simulate,
                           position_momentum_aggregate, sg_counterfactual,
                           uncertainty_check)
-from .lattice import (LatticePoint, canonical_bitstring, iter_lattice,
+from .lattice import (PNO, LatticePoint, canonical_bitstring, iter_lattice,
                       lattice_size, lattice_to_csv)
 from .reduction import measure
-from .states import (HiddenPermutation, LatticeUnrealisableError, make_qubit,
-                     make_singlet, qubit_to_json, two_qubit_to_json)
+from .states import LatticeUnrealisableError, make_qubit, make_singlet
 
 SCHEMA_VERSION = 1
 
@@ -153,20 +151,20 @@ def cmd_itc(args) -> int:
 
 
 def cmd_state(args) -> int:
-    xi = HiddenPermutation.from_seed(args.seed, args.L)
+    xi = PNO.from_seed(args.seed, args.L)
     if args.singlet_cos is not None:
         state = make_singlet(args.singlet_cos, args.L, xi)
-        record = two_qubit_to_json(state)
+        record = {"L": args.L, "params": state.params, "xi_seed": xi.seed,
+                  "top": state.top, "bottom": state.bottom}
         lines = [f"singlet at cos theta_AB = {args.singlet_cos}, L={args.L}, "
                  f"seed={args.seed}",
                  "top:    " + _signs(state.top),
                  "bottom: " + _signs(state.bottom)]
     else:
-        if args.m is None:
-            raise ValueError("state needs --m (or --singlet-cos)")
         point = LatticePoint(args.m, args.n, args.L)
         state = make_qubit(point, xi)
-        record = qubit_to_json(state)
+        record = {"L": point.L, "m": point.m, "n": point.n, "xi_seed": xi.seed,
+                  "string": state.string}
         lines = [f"qubit at (m={args.m}, n={args.n}, L={args.L}), seed={args.seed}",
                  "string: " + _signs(state.string)]
     emit(args, record, lines)
@@ -174,7 +172,7 @@ def cmd_state(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    xi = HiddenPermutation.from_seed(args.seed, args.L)
+    xi = PNO.from_seed(args.seed, args.L)
     state = make_qubit(LatticePoint(args.m, args.n, args.L), xi)
     trace = measure(state.string)
     # Halving drops the last digit of both integers, so step k shows the
@@ -216,7 +214,7 @@ def cmd_delayed_choice(args) -> int:
 
 
 def cmd_uncertainty(args) -> int:
-    if args.cosines:
+    if args.cosines is not None:
         report = uncertainty_check([parse_fraction(part)
                                     for part in args.cosines.split(",")])
         emit(args, report,
@@ -224,8 +222,6 @@ def cmd_uncertainty(args) -> int:
               f">= |mu| = {float(report.mu_abs):.6f}: {report.holds}",
               report.niven_note])
     else:
-        if args.samples is None:
-            raise ValueError("uncertainty needs --cosines or --samples")
         report = position_momentum_aggregate(args.samples, args.seed)
         emit(args, report,
              [f"aggregate bound = {report.bound:.6f} >= 1/2: {report.holds}",
@@ -235,8 +231,7 @@ def cmd_uncertainty(args) -> int:
 
 
 def cmd_sg(args) -> int:
-    report = sg_counterfactual(exact_setting(args.cos_ab),
-                               exact_setting(args.cos_bc), args.phi_b)
+    report = sg_counterfactual(args.cos_ab, args.cos_bc, args.phi_b)
     emit(args, report,
          [f"swapped-order world definable: {report.definable}"
           + (" (degenerate)" if report.degenerate else ""),
@@ -343,12 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interior angle as a fraction of a turn")
 
     p = add("state", cmd_state, "dump a state as bit strings")
-    p.add_argument("--m", type=int, default=None)
+    form = p.add_mutually_exclusive_group(required=True)
+    form.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--singlet-cos", dest="singlet_cos", type=_frac, default=None,
-                   help="dump a two-qubit singlet at this cos theta_AB instead")
+    form.add_argument("--singlet-cos", dest="singlet_cos", type=_frac, default=None,
+                      help="dump a two-qubit singlet at this cos theta_AB instead")
 
     p = add("measure", cmd_measure, "run the halving measurement dynamics")
     p.add_argument("--m", type=int, required=True)
@@ -365,9 +361,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mirror", choices=("in", "out"), required=True)
 
     p = add("uncertainty", cmd_uncertainty, "deviation-product inequality")
-    p.add_argument("--cosines", default=None,
-                   help="three direction cosines, comma separated")
-    p.add_argument("--samples", type=int, default=None)
+    form = p.add_mutually_exclusive_group(required=True)
+    form.add_argument("--cosines", default=None,
+                      help="three direction cosines, comma separated")
+    form.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("sg", cmd_sg, "counterfactual swapped-order definability")
@@ -403,7 +400,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (LatticeUnrealisableError, SnapInfeasibleError) as exc:
+    except LatticeUnrealisableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -13,9 +13,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from .exact import (ExactCosine, RationalAngle, TriangleVerdict, itc_verdict,
                     niven_cosine)
-from .lattice import LatticePoint
-from .states import (HiddenPermutation, canonical_two_qubit_strings,
-                     make_singlet, singlet_params)
+from .lattice import PNO, LatticePoint
+from .states import canonical_two_qubit_strings, make_singlet, singlet_params
 
 if TYPE_CHECKING:
     import mpmath
@@ -26,10 +25,6 @@ PRECISION_BITS = 200
 RESIDUAL_TOL = 2.0 ** -150
 
 CosineValue = Union[Fraction, float, "mpmath.mpf"]
-
-
-class SnapInfeasibleError(ValueError):
-    """No lattice latitude lies within the requested tolerance."""
 
 
 def _mpf(x: CosineValue) -> mpmath.mpf:
@@ -234,61 +229,23 @@ def position_momentum_aggregate(M: int, seed: int) -> AggregateReport:
 
 
 # ---------------------------------------------------------------------------
-# Nominal settings and lattice snapping
+# Lattice snapping of nominal settings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NominalSetting:
-    target_cos: float
-    neighborhood: Fraction
-    snapped: LatticePoint
+def snap_to_lattice(target_cos: Union[Fraction, float], L: int) -> LatticePoint:
+    """The phi = 0 lattice point with even m whose cos(theta) = 2m/L - 1 is
+    nearest the target (ties to the m/2 that is even).
 
-    @property
-    def exact_cos(self) -> Fraction:
-        return self.snapped.cos_theta
-
-
-def snap_to_lattice(target_cos: float, L: int,
-                    epsilon: Optional[Fraction] = None,
-                    parity: Optional[int] = None) -> NominalSetting:
-    """Nearest lattice latitude cos(theta) = 2m/L - 1 to the target.
-
-    `parity`, when given, restricts m to that parity (needed when a
-    half-length sub-block must carry an integer count); the grid spacing is
-    then 4/L instead of 2/L.
+    Even m gives both half-length sub-blocks of a singlet's bottom string an
+    integer +1 count. The grid spacing is then 4/L, so the snap moves the
+    cosine by at most 2/L.
     """
-    if not -1.0 <= target_cos <= 1.0:
+    if L < 2 or L % 2 != 0:
+        raise ValueError(f"L must be even and >= 2, got {L}")
+    target = Fraction(target_cos)
+    if abs(target) > 1:
         raise ValueError(f"|target_cos| must be <= 1, got {target_cos}")
-    if L < 2:
-        raise ValueError(f"L must be >= 2, got {L}")
-    epsilon = Fraction(2, L) if epsilon is None else Fraction(epsilon)
-    exact_target = Fraction(target_cos)
-    raw = (exact_target + 1) * L / 2
-    if parity is None:
-        m = round(raw)
-        m = min(max(m, 0), L)
-    else:
-        m = 2 * round((raw - parity) / 2) + parity
-        m = min(max(m, parity), L - (L - parity) % 2)
-    err = abs(Fraction(2 * m - L, L) - exact_target)
-    if err > epsilon:
-        raise SnapInfeasibleError(
-            f"nearest lattice cos differs from target by {float(err):.3g} "
-            f"> epsilon {float(epsilon):.3g} at L={L}")
-    return NominalSetting(target_cos=target_cos, neighborhood=epsilon,
-                          snapped=LatticePoint(m, 0, L))
-
-
-def exact_setting(cos: Fraction) -> NominalSetting:
-    """A setting whose exact lattice cosine equals the given rational: uses
-    the smallest granularity 2q that realises cos = p/q on the latitude grid."""
-    cos = Fraction(cos)
-    if abs(cos) > 1:
-        raise ValueError(f"|cos| must be <= 1, got {cos}")
-    L = 2 * cos.denominator
-    m = cos.numerator + cos.denominator
-    return NominalSetting(target_cos=float(cos), neighborhood=Fraction(0),
-                          snapped=LatticePoint(m, 0, L))
+    return LatticePoint(2 * round((target + 1) * L / 4), 0, L)
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +268,13 @@ class SGReport:
         return self.verdict.reason == "degenerate"
 
 
-def sg_counterfactual(setting_ab: NominalSetting, setting_bc: NominalSetting,
+def sg_counterfactual(cos_ab: Fraction, cos_bc: Fraction,
                       phi_b: RationalAngle) -> SGReport:
     """Whether the order-swapped run of two sequential analysers is
     simultaneously definable with the real one: needs the third relative
     cosine rational, decided by the impossible-triangle check."""
-    verdict = itc_verdict(setting_ab.exact_cos, setting_bc.exact_cos, phi_b)
-    return SGReport(cos_ab=setting_ab.exact_cos, cos_bc=setting_bc.exact_cos,
-                    phi_b=phi_b, verdict=verdict)
+    verdict = itc_verdict(cos_ab, cos_bc, phi_b)
+    return SGReport(cos_ab=cos_ab, cos_bc=cos_bc, phi_b=phi_b, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +374,7 @@ def _sum_at_uniform_positions(values: Sequence[int], trials: int,
 def _singlet_pair_correlation(relative_turns: Fraction, L: int, trials: int,
                               stream_seed: int, label: str) -> PairStats:
     nominal_cos = math.cos(2 * math.pi * float(relative_turns))
-    setting = snap_to_lattice(nominal_cos, L, parity=L % 2)
-    snapped_cos = setting.exact_cos
+    snapped_cos = snap_to_lattice(nominal_cos, L).cos_theta
     top, bottom = canonical_two_qubit_strings(singlet_params(snapped_cos), L)
 
     # A uniform hidden permutation sends a uniformly random source position
@@ -473,7 +428,7 @@ def single_trial_outcomes(cos_theta_ab: Fraction, L: int,
     permute both strings with the same hidden permutation, and run the
     halving measurement on each."""
     from .reduction import measure
-    xi = HiddenPermutation.from_seed(xi_seed, L)
+    xi = PNO.from_seed(xi_seed, L)
     state = make_singlet(cos_theta_ab, L, xi)
     return measure(state.top).outcome, measure(state.bottom).outcome
 

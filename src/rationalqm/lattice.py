@@ -5,10 +5,11 @@ the lattice its complex and quaternionic structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, List, Sequence, TextIO, Tuple
+from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 
 Bits = Tuple[int, ...]
 
@@ -26,22 +27,53 @@ def negate(s: Sequence[int]) -> Bits:
 
 @dataclass(frozen=True)
 class PNO:
-    """Permutation/negation operator: output[i] = signs[i] * input[perm[i]]."""
+    """Permutation/negation operator: output[i] = signs[i] * input[perm[i]].
+
+    `signs` defaults to None, meaning every sign is +1: then `apply` is a
+    pure reordering, which is what the hidden permutation xi of a state is.
+    `seed` records the seed of a perm made by `from_seed`; such a perm is a
+    Fisher-Yates shuffle and is not checked again.
+    """
 
     perm: Tuple[int, ...]
-    signs: Tuple[int, ...]
+    signs: Optional[Tuple[int, ...]] = None
+    seed: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self):
         n = len(self.perm)
-        if sorted(self.perm) != list(range(n)):
+        if self.seed is None and sorted(self.perm) != list(range(n)):
             raise ValueError("perm is not a permutation of 0..n-1")
-        if len(self.signs) != n or not all(x in (1, -1) for x in self.signs):
+        if self.signs is not None and (len(self.signs) != n or
+                                       not all(x in (1, -1) for x in self.signs)):
             raise ValueError("signs must be +1/-1 of matching length")
 
+    @classmethod
+    def from_seed(cls, seed: int, size: int) -> "PNO":
+        """The sign-free operator on length-`size` strings whose perm is
+        random.Random(seed)'s shuffle of 0..size-1: the same (seed, size)
+        always gives the same perm, and uniform seeds give perms uniform over
+        the symmetric group. Seeds must be >= 0: `random.Random` seeds with
+        abs(seed), so -s would give the permutation of s. The size is a
+        lattice string length, so a bad one is reported as L."""
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        if size < 1:
+            raise ValueError(f"L must be positive, got {size}")
+        perm = list(range(size))
+        random.Random(seed).shuffle(perm)
+        return cls(tuple(perm), seed=seed)
+
+    @property
+    def size(self) -> int:
+        return len(self.perm)
+
     def apply(self, s: Sequence[int]) -> Bits:
-        if len(s) != len(self.perm):
-            raise ValueError(f"operator arity {len(self.perm)} != string length {len(s)}")
-        return tuple(self.signs[i] * s[self.perm[i]] for i in range(len(s)))
+        perm = self.perm
+        if len(s) != len(perm):
+            raise ValueError(f"operator arity {len(perm)} != string length {len(s)}")
+        if self.signs is None:
+            return tuple(s[j] for j in perm)
+        return tuple(sign * s[j] for sign, j in zip(self.signs, perm))
 
 
 # The length-2 generator: i{a1, a2} = {-a2, a1}, so i^2 is global negation.

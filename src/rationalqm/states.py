@@ -3,17 +3,21 @@ permutation xi.
 
 The hidden permutation plays the role of global phase: states are
 equivalence classes of bit strings mod xi, but a concrete xi picks out a
-specific ordered string and thereby fixes the measurement outcome.
+specific ordered string and thereby fixes the measurement outcome. xi is a
+sign-free `PNO`, usually made by `PNO.from_seed`.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
-from .lattice import Bits, LatticePoint, block_string, canonical_bitstring, zeta
+from .lattice import (PNO, Bits, LatticePoint, block_string, canonical_bitstring,
+                      zeta)
+
+# Another name for xi's type, the sign-free `PNO`.
+HiddenPermutation = PNO
 
 
 class LatticeUnrealisableError(ValueError):
@@ -21,55 +25,13 @@ class LatticeUnrealisableError(ValueError):
 
 
 @dataclass(frozen=True)
-class HiddenPermutation:
-    """A permutation of 0..size-1, reproducibly derived from a seed.
-
-    Same (seed, size) always yields the same permutation; uniform seeds give
-    permutations uniform over the symmetric group (Fisher-Yates shuffle).
-    An explicit permutation may be supplied instead of a seed, which is how
-    the matched partner permutation of a perspective swap is represented.
-    Seeds must be >= 0: `random.Random` seeds with abs(seed), so -s would
-    give the permutation of s.
-    """
-
-    size: int
-    seed: Optional[int] = None
-    perm: Tuple[int, ...] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.perm is None:
-            if self.seed is None:
-                raise ValueError("need a seed or an explicit permutation")
-            if self.seed < 0:
-                raise ValueError(f"seed must be >= 0, got {self.seed}")
-            rng = random.Random(self.seed)
-            perm = list(range(self.size))
-            rng.shuffle(perm)
-            object.__setattr__(self, "perm", tuple(perm))
-        else:
-            object.__setattr__(self, "perm", tuple(self.perm))
-            if sorted(self.perm) != list(range(self.size)):
-                raise ValueError("perm is not a permutation of 0..size-1")
-
-    @classmethod
-    def from_seed(cls, seed: int, size: int) -> "HiddenPermutation":
-        return cls(size=size, seed=seed)
-
-    def apply(self, s: Sequence[int]) -> Bits:
-        """output[i] = input[perm[i]]; a pure reordering, no sign flips."""
-        if len(s) != self.size:
-            raise ValueError(f"permutation size {self.size} != string length {len(s)}")
-        return tuple(s[j] for j in self.perm)
-
-
-@dataclass(frozen=True)
 class QubitState:
     point: LatticePoint
-    xi: HiddenPermutation
+    xi: PNO
     string: Bits
 
 
-def make_qubit(point: LatticePoint, xi: HiddenPermutation) -> QubitState:
+def make_qubit(point: LatticePoint, xi: PNO) -> QubitState:
     if xi.size != point.L:
         raise ValueError(f"xi acts on {xi.size} positions but L = {point.L}")
     return QubitState(point=point, xi=xi, string=xi.apply(canonical_bitstring(point)))
@@ -106,7 +68,7 @@ class TwoQubitParams:
 class TwoQubitState:
     top: Bits
     bottom: Bits
-    xi: HiddenPermutation
+    xi: PNO
     params: TwoQubitParams
     L: int
     top_canonical: Bits
@@ -153,7 +115,7 @@ def canonical_two_qubit_strings(params: TwoQubitParams, L: int) -> Tuple[Bits, B
 
 
 def make_two_qubit(params: TwoQubitParams, L: int,
-                   xi: HiddenPermutation) -> TwoQubitState:
+                   xi: PNO) -> TwoQubitState:
     """Build the correlated pair of strings and apply the common xi to both."""
     if xi.size != L:
         raise ValueError(f"xi acts on {xi.size} positions but L = {L}")
@@ -176,7 +138,7 @@ def singlet_params(cos_theta_ab: Fraction) -> TwoQubitParams:
 
 
 def make_singlet(cos_theta_ab: Fraction, L: int,
-                 xi: HiddenPermutation) -> TwoQubitState:
+                 xi: PNO) -> TwoQubitState:
     if L % 2 != 0:
         raise LatticeUnrealisableError(
             f"lattice-unrealisable parameters: singlet needs even L, got {L}")
@@ -225,7 +187,7 @@ def swap_perspective(state: TwoQubitState) -> TwoQubitState:
             raise ValueError(
                 f"no matching partner permutation exists: pair type {key} exhausted")
         perm.append(buckets[key].pop())
-    xi_prime = HiddenPermutation(size=L, perm=tuple(perm))
+    xi_prime = PNO(tuple(perm))
     return TwoQubitState(top=new_top, bottom=new_bottom, xi=xi_prime,
                          params=params, L=L,
                          top_canonical=top_c, bottom_canonical=bottom_c)
@@ -245,34 +207,3 @@ def counterfactual_setting_change(state: TwoQubitState,
     if changed.top != state.top:
         raise RuntimeError("locality violated: top string changed")
     return changed
-
-
-def two_qubit_to_json(state: TwoQubitState) -> dict:
-    """Record of a two-qubit state for a JSON report: L, params as exact
-    fractions, xi seed (when seed-derived), and the two ordered strings."""
-    p = state.params
-    return {
-        "L": state.L,
-        "params": {
-            "top_ones": p.top_ones,
-            "cond_plus": p.cond_plus,
-            "cond_minus": p.cond_minus,
-            "top_shift": p.top_shift,
-            "shift_plus": p.shift_plus,
-            "shift_minus": p.shift_minus,
-        },
-        "xi_seed": state.xi.seed,
-        "top": state.top,
-        "bottom": state.bottom,
-    }
-
-
-def qubit_to_json(state: QubitState) -> dict:
-    """Record of a one-qubit state for a JSON report."""
-    return {
-        "L": state.point.L,
-        "m": state.point.m,
-        "n": state.point.n,
-        "xi_seed": state.xi.seed,
-        "string": state.string,
-    }

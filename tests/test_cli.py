@@ -12,9 +12,9 @@ import pytest
 
 from rationalqm import cli
 from rationalqm.cli import main, parse_config_file, to_jsonable
-from rationalqm.lattice import LatticePoint
+from rationalqm.lattice import PNO, LatticePoint
 from rationalqm.reduction import reduce_step, to_integer_pair
-from rationalqm.states import HiddenPermutation, make_qubit
+from rationalqm.states import make_qubit
 
 
 def run(capsys, *argv):
@@ -25,7 +25,7 @@ def run(capsys, *argv):
 
 def reference_measure_report(m, n, L, seed):
     """The measure report as formatted step by step from checked IntegerPairs."""
-    state = make_qubit(LatticePoint(m, n, L), HiddenPermutation.from_seed(seed, L))
+    state = make_qubit(LatticePoint(m, n, L), PNO.from_seed(seed, L))
     pair = to_integer_pair(state.string)
     steps = [pair]
     while pair.width > 1:
@@ -180,6 +180,45 @@ class TestExitCodes:
     def test_state_missing_m(self, capsys):
         code, _, err = run(capsys, "state", "--L", "4", "--seed", "1")
         assert code == 2
+        assert "one of the arguments --m --singlet-cos is required" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("state", "--m", "2", "--L", "8", "--seed", "1", "--singlet-cos", "1/2"),
+         "argument --singlet-cos: not allowed with argument --m"),
+        (("uncertainty", "--cosines", "1,0,0", "--samples", "5"),
+         "argument --samples: not allowed with argument --cosines"),
+        (("uncertainty", "--seed", "3"),
+         "one of the arguments --cosines --samples is required"),
+    ], ids=["state-both", "uncertainty-both", "uncertainty-neither"])
+    def test_exactly_one_form(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_empty_cosines_rejected(self, capsys):
+        code, out, err = run(capsys, "uncertainty", "--cosines", "")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("L", ["0", "-4"])
+    @pytest.mark.parametrize("argv", [
+        ("state", "--m", "0", "--seed", "0"),
+        ("state", "--singlet-cos", "1/2", "--seed", "0"),
+        ("measure", "--m", "0", "--seed", "0"),
+    ], ids=["state-qubit", "state-singlet", "measure"])
+    def test_L_must_be_positive(self, capsys, argv, L):
+        code, out, err = run(capsys, *argv, "--L", L)
+        assert code == 2 and out == ""
+        assert err == f"error: L must be positive, got {L}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--cos-ab", "2", "--cos-bc", "1/3"), "|cos_ab| must be <= 1, got 2"),
+        (("--cos-ab", "1/2", "--cos-bc", "-3/2"), "|cos_bc| must be <= 1, got -3/2"),
+    ])
+    def test_sg_names_the_cosine_out_of_range(self, capsys, argv, message):
+        code, out, err = run(capsys, "sg", *argv, "--phi-b", "1/5")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_unrealisable_singlet(self, capsys):
         code, _, err = run(capsys, "state", "--singlet-cos", "1/2", "--L", "6",

@@ -7,15 +7,15 @@ import pytest
 
 from rationalqm import experiments
 from rationalqm.exact import RationalAngle, cos_squared
-from rationalqm.experiments import (SnapInfeasibleError,
-                                    _sum_at_uniform_positions,
+from rationalqm.experiments import (_sum_at_uniform_positions,
                                     aggregate_directions,
-                                    bell_run, delayed_choice, exact_setting,
+                                    bell_run, delayed_choice,
                                     mz_simulate,
                                     position_momentum_aggregate,
                                     sg_counterfactual, single_trial_outcomes,
                                     snap_to_lattice, uncertainty_check)
-from rationalqm.states import HiddenPermutation, make_singlet
+from rationalqm.lattice import PNO
+from rationalqm.states import make_singlet
 
 
 def angle(text):
@@ -164,57 +164,69 @@ class TestAggregate:
             position_momentum_aggregate(50, seed=-2)
 
 
+def reference_snap(target: Fraction, L: int) -> int:
+    """The even m in [0, L] whose 2m/L - 1 is nearest the target, by search;
+    of two equally near, the one with m/2 even."""
+    return min(range(0, L + 1, 2),
+               key=lambda m: (abs(Fraction(2 * m - L, L) - target), m // 2 % 2))
+
+
 class TestSnapping:
     def test_exact_hit(self):
-        setting = snap_to_lattice(-0.5, 8)
-        assert setting.snapped.m == 2
-        assert setting.exact_cos == Fraction(-1, 2)
+        point = snap_to_lattice(-0.5, 8)
+        assert (point.m, point.n, point.L) == (2, 0, 8)
+        assert point.cos_theta == Fraction(-1, 2)
 
     def test_poles(self):
-        assert snap_to_lattice(1.0, 6).snapped.m == 6
-        assert snap_to_lattice(-1.0, 6).snapped.m == 0
-
-    def test_tight_epsilon_infeasible(self):
-        with pytest.raises(SnapInfeasibleError):
-            snap_to_lattice(0.3, 4, epsilon=Fraction(1, 100))
+        assert snap_to_lattice(1.0, 6).m == 6
+        assert snap_to_lattice(-1.0, 6).m == 0
 
     def test_default_epsilon_always_feasible(self):
+        # even m is a grid of spacing 4/L, so no target is more than 2/L off
         rng = random.Random(8)
         for _ in range(200):
             target = rng.uniform(-1, 1)
-            setting = snap_to_lattice(target, 360)
-            assert abs(float(setting.exact_cos) - target) <= 2 / 360
+            point = snap_to_lattice(target, 360)
+            assert abs(float(point.cos_theta) - target) <= 2 / 360
 
     def test_parity_restriction(self):
-        setting = snap_to_lattice(0.0, 10, parity=1)
-        assert setting.snapped.m % 2 == 1
-        assert abs(float(setting.exact_cos)) <= 4 / 10
+        point = snap_to_lattice(0.0, 10)
+        assert point.m == 4 and point.cos_theta == Fraction(-1, 5)
+        for L in (2, 4, 6, 10, 12, 30):
+            for k in range(-2 * L, 2 * L + 1):
+                target = Fraction(k, 2 * L)
+                assert snap_to_lattice(target, L).m == reference_snap(target, L)
 
-    def test_exact_setting(self):
-        setting = exact_setting(Fraction(3, 5))
-        assert setting.exact_cos == Fraction(3, 5)
-        assert setting.snapped.L == 10 and setting.snapped.m == 8
+    @pytest.mark.parametrize("L", [0, -2, 1, 7])
+    def test_rejects_odd_or_small_L(self, L):
+        with pytest.raises(ValueError, match="even"):
+            snap_to_lattice(0.0, L)
+
+    @pytest.mark.parametrize("target", [1.5, Fraction(-9, 8)])
+    def test_rejects_target_out_of_range(self, target):
+        with pytest.raises(ValueError, match="target_cos"):
+            snap_to_lattice(target, 8)
 
 
 class TestSternGerlach:
     def test_generic_settings_not_definable(self):
-        report = sg_counterfactual(exact_setting(Fraction(3, 5)),
-                                   exact_setting(Fraction(4, 5)),
-                                   angle("179/360"))
+        report = sg_counterfactual(Fraction(3, 5), Fraction(4, 5), angle("179/360"))
         assert not report.definable
 
     def test_exceptional_settings_definable(self):
-        report = sg_counterfactual(exact_setting(Fraction(3, 5)),
-                                   exact_setting(Fraction(3, 5)),
-                                   angle("1/2"))
+        report = sg_counterfactual(Fraction(3, 5), Fraction(3, 5), angle("1/2"))
         assert report.definable
         assert report.verdict.third_side.rational == Fraction(-7, 25)
 
     def test_degenerate(self):
-        report = sg_counterfactual(exact_setting(Fraction(1)),
-                                   exact_setting(Fraction(1, 3)),
-                                   angle("1/7"))
+        report = sg_counterfactual(Fraction(1), Fraction(1, 3), angle("1/7"))
         assert report.definable and report.degenerate
+
+    def test_cosines_range_checked_by_name(self):
+        with pytest.raises(ValueError, match=r"\|cos_ab\| must be <= 1"):
+            sg_counterfactual(Fraction(2), Fraction(1, 3), angle("1/5"))
+        with pytest.raises(ValueError, match=r"\|cos_bc\| must be <= 1"):
+            sg_counterfactual(Fraction(1, 2), Fraction(-3, 2), angle("1/5"))
 
 
 class TestBellHarness:
@@ -294,7 +306,7 @@ class TestBellHarness:
 
     def test_reference_path_outcome_is_front_position(self):
         for seed in range(50):
-            xi = HiddenPermutation.from_seed(seed, 8)
+            xi = PNO.from_seed(seed, 8)
             state = make_singlet(Fraction(1, 2), 8, xi)
             pos = xi.perm[0]
             assert single_trial_outcomes(Fraction(1, 2), 8, seed) == (
@@ -335,19 +347,13 @@ class TestBellSum:
     Stern-Gerlach counterfactual third setting is."""
 
     def test_generic_settings_undefined(self):
-        report = sg_counterfactual(exact_setting(Fraction(3, 5)),
-                                   exact_setting(Fraction(4, 5)),
-                                   angle("181/360"))
+        report = sg_counterfactual(Fraction(3, 5), Fraction(4, 5), angle("181/360"))
         assert not report.definable and not report.degenerate
 
     def test_exceptional_settings_defined(self):
-        report = sg_counterfactual(exact_setting(Fraction(3, 5)),
-                                   exact_setting(Fraction(3, 5)),
-                                   angle("1/2"))
+        report = sg_counterfactual(Fraction(3, 5), Fraction(3, 5), angle("1/2"))
         assert report.definable and not report.degenerate
 
     def test_degenerate_settings(self):
-        report = sg_counterfactual(exact_setting(Fraction(1)),
-                                   exact_setting(Fraction(0)),
-                                   angle("1/5"))
+        report = sg_counterfactual(Fraction(1), Fraction(0), angle("1/5"))
         assert report.definable and report.degenerate

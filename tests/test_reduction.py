@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rationalqm.lattice import LatticePoint
+from rationalqm.lattice import PNO, LatticePoint
 from rationalqm.reduction import (AlreadyReducedError, IntegerPair, measure,
                                   reduce_step, to_integer_pair,
                                   two_adic_distance, two_adic_valuation)
-from rationalqm.states import HiddenPermutation, make_qubit
+from rationalqm.states import make_qubit
 
 bits_strategy = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=64).map(tuple)
 
@@ -104,7 +104,7 @@ class TestReduction:
         hits = 0
         point = LatticePoint(3, 0, 4)
         for seed in range(trials):
-            q = make_qubit(point, HiddenPermutation.from_seed(seed, 4))
+            q = make_qubit(point, PNO.from_seed(seed, 4))
             if measure(q.string).outcome == 1:
                 hits += 1
         p = 0.75

@@ -8,17 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rationalqm.cli import to_jsonable
-from rationalqm.lattice import LatticePoint, ones_fraction
+from rationalqm.lattice import PNO, LatticePoint, canonical_bitstring, ones_fraction
 from rationalqm.states import (HiddenPermutation, LatticeUnrealisableError,
                                TwoQubitParams, canonical_two_qubit_strings,
                                counterfactual_setting_change,
                                exact_singlet_correlation, make_qubit,
-                               make_singlet, make_two_qubit, qubit_to_json,
-                               singlet_params, swap_perspective,
-                               two_qubit_to_json)
+                               make_singlet, make_two_qubit, singlet_params,
+                               swap_perspective)
 
 
 class TestHiddenPermutation:
+    def test_is_the_sign_free_pno(self):
+        assert HiddenPermutation is PNO
+        assert HiddenPermutation.from_seed(3, 5).signs is None
+
     def test_seed_reproducible(self):
         a = HiddenPermutation.from_seed(42, 16)
         b = HiddenPermutation.from_seed(42, 16)
@@ -30,17 +33,25 @@ class TestHiddenPermutation:
             HiddenPermutation.from_seed(-5, 12)
 
     def test_apply_is_a_reordering(self):
-        xi = HiddenPermutation(size=4, perm=(2, 0, 3, 1))
+        xi = PNO((2, 0, 3, 1))
         assert xi.apply((1, 1, -1, -1)) == (-1, 1, -1, 1)
         assert xi.perm[0] == 2
 
     def test_bad_perm_rejected(self):
         with pytest.raises(ValueError):
-            HiddenPermutation(size=3, perm=(0, 0, 1))
+            PNO((0, 0, 1))
 
     def test_needs_seed_or_perm(self):
-        with pytest.raises(ValueError):
-            HiddenPermutation(size=3)
+        # no permutation at all, and no seed: never one drawn from os entropy
+        with pytest.raises(TypeError):
+            PNO()
+        with pytest.raises(TypeError):
+            PNO.from_seed(None, 3)
+
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_size_must_be_positive(self, size):
+        with pytest.raises(ValueError, match="L must be positive"):
+            PNO.from_seed(0, size)
 
     def test_uniform_front_source(self):
         # Fisher-Yates from uniform seeds: front position close to uniform
@@ -55,19 +66,19 @@ class TestHiddenPermutation:
 
 class TestQubitState:
     def test_identity_xi_gives_canonical_string(self):
-        identity = HiddenPermutation(size=4, perm=range(4))
+        identity = PNO(tuple(range(4)))
         q = make_qubit(LatticePoint(2, 0, 4), identity)
         assert q.string == (1, 1, -1, -1)
 
     def test_specific_xi(self):
-        xi = HiddenPermutation(size=4, perm=(0, 2, 3, 1))
+        xi = PNO((0, 2, 3, 1))
         q = make_qubit(LatticePoint(2, 0, 4), xi)
         assert q.string == (1, -1, -1, 1)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
             make_qubit(LatticePoint(2, 0, 4),
-                       HiddenPermutation(size=6, perm=range(6)))
+                       PNO(tuple(range(6))))
 
     def test_equivalence_class_independent_of_xi(self):
         p = LatticePoint(3, 2, 7)
@@ -86,10 +97,12 @@ class TestQubitState:
 
     def test_json_round_trip(self):
         q = make_qubit(LatticePoint(2, 1, 4), HiddenPermutation.from_seed(7, 4))
-        record = json.loads(json.dumps(to_jsonable(qubit_to_json(q))))
-        assert record["L"] == 4 and record["m"] == 2 and record["n"] == 1
-        assert record["xi_seed"] == 7
+        record = json.loads(json.dumps(to_jsonable(q)))
+        assert record["point"] == {"m": 2, "n": 1, "L": 4}
+        assert record["xi"]["seed"] == 7 and record["xi"]["signs"] is None
         assert tuple(record["string"]) == q.string
+        xi = PNO(tuple(record["xi"]["perm"]))
+        assert xi.apply(canonical_bitstring(q.point)) == q.string
 
 
 class TestTwoQubit:
@@ -160,10 +173,9 @@ class TestTwoQubit:
         params = TwoQubitParams(top_ones=Fraction(1, 2),
                                 cond_plus=Fraction(1), cond_minus=Fraction(0))
         state = make_two_qubit(params, 4, HiddenPermutation.from_seed(11, 4))
-        record = two_qubit_to_json(state)
-        assert record["params"]["top_ones"] == Fraction(1, 2)
-        assert to_jsonable(record)["params"]["top_ones"] == "1/2"
-        assert record["xi_seed"] == 11
+        record = json.loads(json.dumps(to_jsonable(state)))
+        assert record["params"]["top_ones"] == "1/2"
+        assert record["xi"]["seed"] == 11
         assert len(record["top"]) == len(record["bottom"]) == 4
 
 
@@ -192,11 +204,11 @@ class TestSinglet:
 
     def test_odd_L_rejected(self):
         with pytest.raises(LatticeUnrealisableError):
-            make_singlet(Fraction(0), 7, HiddenPermutation(size=7, perm=range(7)))
+            make_singlet(Fraction(0), 7, PNO(tuple(range(7))))
 
     def test_unrealisable_cos_rejected(self):
         with pytest.raises(LatticeUnrealisableError):
-            make_singlet(Fraction(1, 2), 6, HiddenPermutation(size=6, perm=range(6)))
+            make_singlet(Fraction(1, 2), 6, PNO(tuple(range(6))))
 
 
 class TestSwapPerspective:
