@@ -17,10 +17,11 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
-from .exact import RationalAngle, itc_verdict, niven_cosine, parse_fraction
+from .exact import (RationalAngle, itc_verdict, niven_cosine, parse_fraction,
+                    parse_integer, spherical_third_side)
 from .experiments import (bell_run, delayed_choice, mz_simulate,
                           position_momentum_aggregate, sg_counterfactual,
                           uncertainty_check)
@@ -70,9 +71,7 @@ def build_manifest(args: argparse.Namespace, outputs: List[str]) -> Dict[str, An
 
 
 def emit(args: argparse.Namespace, report: Any, summary_lines: List[str]) -> None:
-    outputs = []
-    if getattr(args, "csv", None):
-        outputs.append(str(args.csv))
+    outputs = [str(args.csv)] if getattr(args, "csv", None) else []
     payload = {
         "schema_version": SCHEMA_VERSION,
         "manifest": build_manifest(args, outputs),
@@ -88,15 +87,24 @@ def emit(args: argparse.Namespace, report: Any, summary_lines: List[str]) -> Non
         print(line)
 
 
-def _frac(text: str) -> Fraction:
-    try:
-        return parse_fraction(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _argument_type(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    def convert(text: str) -> Any:
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
+_frac, _int = _argument_type(parse_fraction), _argument_type(parse_integer)
 
 
 def _angle(text: str) -> RationalAngle:
     return RationalAngle(_frac(text))
+
+
+def _angles(text: str) -> List[RationalAngle]:
+    return [_angle(part) for part in text.split(",")]
 
 
 def _csv_path(text: str) -> str:
@@ -112,10 +120,11 @@ def _signs(bits) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its report and its summary lines, and `main`
+# emits them.
 # ---------------------------------------------------------------------------
 
-def cmd_sphere(args) -> int:
+def cmd_sphere(args) -> Tuple[Any, List[str]]:
     count = lattice_size(args.L)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -130,124 +139,118 @@ def cmd_sphere(args) -> int:
                   for p, bits in points]
     if args.csv:
         lines.append(f"csv written to {args.csv}")
-    emit(args, report, lines)
-    return 0
+    return report, lines
 
 
-def cmd_niven(args) -> int:
+def cmd_niven(args) -> Tuple[Any, List[str]]:
     cert = niven_cosine(args.turns)
-    emit(args, {"turns": args.turns.turns, "cosine": cert},
-         [f"cos phi = {cert.describe()}"])
-    return 0
+    return {"turns": args.turns.turns, "cosine": cert}, [f"cos phi = {cert.describe()}"]
 
 
-def cmd_itc(args) -> int:
+def cmd_itc(args) -> Tuple[Any, List[str]]:
     verdict = itc_verdict(args.cos_ab, args.cos_bc, args.turns)
-    emit(args, verdict,
-         [f"possible = {verdict.possible}",
-          f"third side: {verdict.third_side.describe()}",
-          f"reason: {verdict.reason}"])
-    return 0
+    return verdict, [f"possible = {verdict.possible}",
+                     f"third side: {verdict.third_side.describe()}",
+                     f"reason: {verdict.reason}"]
 
 
-def cmd_state(args) -> int:
+def cmd_scan_exceptions(args) -> Tuple[Any, List[str]]:
+    """Triangles with side cosines p/q in (-1, 1), 2 <= q <= --max-den, and an
+    angle from --turns whose third side is rational yet not their product."""
+    sides = [c for q in range(2, args.max_den + 1) for p in range(1 - q, q)
+             if (c := Fraction(p, q)).denominator == q]
+    found = [{"cos_ab": a, "cos_bc": b, "turns": phi.turns, "third_side": third.rational}
+             for a in sides for b in sides if b.denominator >= a.denominator
+             for phi in args.turns
+             if (third := spherical_third_side(a, b, phi)).is_rational
+             and a * b != third.rational]
+    lines = [f"cos_ab={t['cos_ab']}, cos_bc={t['cos_bc']}, "
+             f"phi={t['turns']} turns -> {t['third_side']}" for t in found]
+    lines.append(f"{len(found)} exceptional triangles found")
+    return {"max_den": args.max_den, "triangles": found}, lines
+
+
+def cmd_state(args) -> Tuple[Any, List[str]]:
     xi = PNO.from_seed(args.seed, args.L)
     if args.singlet_cos is not None:
         state = make_singlet(args.singlet_cos, args.L, xi)
         record = {"L": args.L, "params": state.params, "xi_seed": xi.seed,
                   "top": state.top, "bottom": state.bottom}
-        lines = [f"singlet at cos theta_AB = {args.singlet_cos}, L={args.L}, "
-                 f"seed={args.seed}",
-                 "top:    " + _signs(state.top),
-                 "bottom: " + _signs(state.bottom)]
-    else:
-        point = LatticePoint(args.m, args.n, args.L)
-        state = make_qubit(point, xi)
-        record = {"L": point.L, "m": point.m, "n": point.n, "xi_seed": xi.seed,
-                  "string": state.string}
-        lines = [f"qubit at (m={args.m}, n={args.n}, L={args.L}), seed={args.seed}",
-                 "string: " + _signs(state.string)]
-    emit(args, record, lines)
-    return 0
+        return record, [f"singlet at cos theta_AB = {args.singlet_cos}, L={args.L}, "
+                        f"seed={args.seed}",
+                        "top:    " + _signs(state.top),
+                        "bottom: " + _signs(state.bottom)]
+    point = LatticePoint(args.m, args.n, args.L)
+    state = make_qubit(point, xi)
+    record = {"L": point.L, "m": point.m, "n": point.n, "xi_seed": xi.seed,
+              "string": state.string}
+    return record, [f"qubit at (m={point.m}, n={point.n}, L={point.L}), "
+                    f"seed={args.seed}", "string: " + _signs(state.string)]
 
 
-def cmd_measure(args) -> int:
-    xi = PNO.from_seed(args.seed, args.L)
-    state = make_qubit(LatticePoint(args.m, args.n, args.L), xi)
+def cmd_measure(args) -> Tuple[Any, List[str]]:
+    point = LatticePoint(args.m, args.n, args.L)
+    state = make_qubit(point, PNO.from_seed(args.seed, args.L))
     trace = measure(state.string)
     # Halving drops the last digit of both integers, so step k shows the
     # first L - k digits of the initial pair.
     plus, minus = trace.initial.bit_strings()
     steps = [f"{plus[:w]}.-{minus[:w]}." for w in range(len(plus), 0, -1)]
     report = {
-        "m": args.m, "n": args.n, "L": args.L, "seed": args.seed,
+        "m": point.m, "n": point.n, "L": point.L, "seed": args.seed,
         "string": list(state.string),
         "trace": steps,
         "outcome": trace.outcome,
         "step_count": trace.step_count,
     }
-    emit(args, report,
-         ["trace: " + " -> ".join(steps),
-          f"outcome: {'+1' if trace.outcome == 1 else '-1'} "
-          f"after {trace.step_count} halving steps"])
-    return 0
+    return report, ["trace: " + " -> ".join(steps),
+                    f"outcome: {'+1' if trace.outcome == 1 else '-1'} "
+                    f"after {trace.step_count} halving steps"]
 
 
-def cmd_mz(args) -> int:
+def cmd_mz(args) -> Tuple[Any, List[str]]:
     report = mz_simulate(args.turns)
     p_sin, p_cos = report.output_probabilities
-    emit(args, report,
-         [f"inside definable: {report.inside_definable} "
-          f"({report.inside_certificate})",
-          f"output definable: {report.output_definable} "
-          f"({report.output_certificate.describe()})",
-          f"output probabilities (sin^2, cos^2 of phi/2): ({p_sin}, {p_cos})"])
-    return 0
+    return report, [f"inside definable: {report.inside_definable} "
+                    f"({report.inside_certificate})",
+                    f"output definable: {report.output_definable} "
+                    f"({report.output_certificate.describe()})",
+                    f"output probabilities (sin^2, cos^2 of phi/2): ({p_sin}, {p_cos})"]
 
 
-def cmd_delayed_choice(args) -> int:
+def cmd_delayed_choice(args) -> Tuple[Any, List[str]]:
     report = delayed_choice(args.turns, args.mirror == "in")
-    emit(args, report,
-         [f"configuration demands: {report.demanded}",
-          f"satisfied: {report.satisfied} ({report.certificate.describe()})"])
-    return 0
+    return report, [f"configuration demands: {report.demanded}",
+                    f"satisfied: {report.satisfied} ({report.certificate.describe()})"]
 
 
-def cmd_uncertainty(args) -> int:
+def cmd_uncertainty(args) -> Tuple[Any, List[str]]:
     if args.cosines is not None:
         report = uncertainty_check([parse_fraction(part)
                                     for part in args.cosines.split(",")])
-        emit(args, report,
-             [f"sigma' * sigma'' = {float(report.sigma_product):.6f} "
-              f">= |mu| = {float(report.mu_abs):.6f}: {report.holds}",
-              report.niven_note])
-    else:
-        report = position_momentum_aggregate(args.samples, args.seed)
-        emit(args, report,
-             [f"aggregate bound = {report.bound:.6f} >= 1/2: {report.holds}",
-              f"mean |cos theta| = {report.mean_abs_cos:.6f} over "
-              f"{report.samples} samples (seed {report.seed})"])
-    return 0
+        return report, [f"sigma' * sigma'' = {float(report.sigma_product):.6f} "
+                        f">= |mu| = {float(report.mu_abs):.6f}: {report.holds}",
+                        report.niven_note]
+    report = position_momentum_aggregate(args.samples, args.seed)
+    return report, [f"aggregate bound = {report.bound:.6f} >= 1/2: {report.holds}",
+                    f"mean |cos theta| = {report.mean_abs_cos:.6f} over "
+                    f"{report.samples} samples (seed {report.seed})"]
 
 
-def cmd_sg(args) -> int:
+def cmd_sg(args) -> Tuple[Any, List[str]]:
     report = sg_counterfactual(args.cos_ab, args.cos_bc, args.phi_b)
-    emit(args, report,
-         [f"swapped-order world definable: {report.definable}"
-          + (" (degenerate)" if report.degenerate else ""),
-          f"third side: {report.verdict.third_side.describe()}",
-          f"reason: {report.verdict.reason}"])
-    return 0
+    return report, [f"swapped-order world definable: {report.definable}"
+                    + (" (degenerate)" if report.degenerate else ""),
+                    f"third side: {report.verdict.third_side.describe()}",
+                    f"reason: {report.verdict.reason}"]
 
 
-def cmd_bell(args) -> int:
-    if args.config:
-        overrides = parse_config_file(args.config)
-        for key in ("angles", "L", "trials", "seed"):
-            if key in overrides and getattr(args, key, None) is None:
-                setattr(args, key, overrides[key])
-    missing = [k for k in ("angles", "L", "trials", "seed")
-               if getattr(args, k, None) is None]
+def cmd_bell(args) -> Tuple[Any, List[str]]:
+    overrides = parse_config_file(args.config) if args.config else {}
+    for key, value in overrides.items():  # a flag given on the command line wins
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    missing = [k for k in ("angles", "L", "trials", "seed") if getattr(args, k) is None]
     if missing:
         raise ValueError(f"bell needs {', '.join(missing)} via flags or --config")
     angles = [parse_fraction(t) for t in args.angles.split(",")]
@@ -275,8 +278,7 @@ def cmd_bell(args) -> int:
                  f"bound 1 {'violated' if report.violates else 'respected'})")
     if args.csv:
         lines.append(f"csv written to {args.csv}")
-    emit(args, report, lines)
-    return 0
+    return report, lines
 
 
 def parse_config_file(path: str) -> Dict[str, Any]:
@@ -291,7 +293,7 @@ def parse_config_file(path: str) -> Dict[str, Any]:
             raise ValueError(f"bad config line (expected key=value): {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in ("L", "trials", "seed"):
-            out[key] = int(value)
+            out[key] = parse_integer(value)
         elif key == "angles":
             out[key] = value
         else:
@@ -325,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("sphere", cmd_sphere, "enumerate the lattice at granularity L")
-    p.add_argument("--L", type=int, required=True)
+    p.add_argument("--L", type=_int, required=True)
     p.add_argument("--csv", metavar="PATH", type=_csv_path)
 
     p = add("niven", cmd_niven, "classify cos of a rational-turn angle")
@@ -337,20 +339,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--turns", type=_angle, required=True,
                    help="interior angle as a fraction of a turn")
 
+    p = add("scan-exceptions", cmd_scan_exceptions,
+            "list triangles whose third side is rational only by exception")
+    p.add_argument("--max-den", dest="max_den", type=_int, default=12,
+                   help="largest denominator for the side cosines")
+    p.add_argument("--turns", type=_angles, default="1/8,3/8,1/12,5/12",
+                   help="comma-separated interior angles in turns")
+
     p = add("state", cmd_state, "dump a state as bit strings")
     form = p.add_mutually_exclusive_group(required=True)
-    form.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    form.add_argument("--m", type=_int, default=None)
+    p.add_argument("--n", type=_int, default=0)
+    p.add_argument("--L", type=_int, required=True)
+    p.add_argument("--seed", type=_int, required=True)
     form.add_argument("--singlet-cos", dest="singlet_cos", type=_frac, default=None,
                       help="dump a two-qubit singlet at this cos theta_AB instead")
 
     p = add("measure", cmd_measure, "run the halving measurement dynamics")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--m", type=_int, required=True)
+    p.add_argument("--n", type=_int, default=0)
+    p.add_argument("--L", type=_int, required=True)
+    p.add_argument("--seed", type=_int, required=True)
 
     p = add("mz", cmd_mz, "interferometer definability report")
     p.add_argument("--turns", type=_angle, required=True)
@@ -364,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     form = p.add_mutually_exclusive_group(required=True)
     form.add_argument("--cosines", default=None,
                       help="three direction cosines, comma separated")
-    form.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    form.add_argument("--samples", type=_int, default=None)
+    p.add_argument("--seed", type=_int, default=0)
 
     p = add("sg", cmd_sg, "counterfactual swapped-order definability")
     p.add_argument("--cos-ab", dest="cos_ab", type=_frac, required=True)
@@ -375,9 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("bell", cmd_bell, "three-correlation Bell harness")
     p.add_argument("--angles", default=None,
                    help="three nominal directions as turn fractions, e.g. 0,1/6,1/3")
-    p.add_argument("--L", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--L", type=_int, default=None)
+    p.add_argument("--trials", type=_int, default=None)
+    p.add_argument("--seed", type=_int, default=None)
     p.add_argument("--config", metavar="PATH",
                    help="key=value config file (angles, L, trials, seed)")
     p.add_argument("--csv", metavar="PATH", type=_csv_path)
@@ -399,13 +408,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        report, lines = args.func(args)
+        emit(args, report, lines)
     except LatticeUnrealisableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -44,6 +44,8 @@ _COS_SQ_BY_DENOMINATOR = {
     for d in RATIONAL_COS_SQ_DENOMINATORS
 }
 
+PRECISION_BITS = 200  # working precision of every mpmath cross-check
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
@@ -72,6 +74,14 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(int(num), denominator)
 
 
+def parse_integer(text: str) -> int:
+    """Parse an optional sign and ASCII digits, as `parse_fraction` does."""
+    text = text.strip()
+    if not _is_digits(text[1:] if text[:1] in ("+", "-") else text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
@@ -96,10 +106,6 @@ class RationalAngle:
                 f"angle turns must be an int or a Fraction, got {type(turns).__name__}")
         object.__setattr__(self, "turns", Fraction(turns) % 1)
 
-    @classmethod
-    def from_string(cls, text: str) -> "RationalAngle":
-        return cls(parse_fraction(text))
-
     @property
     def denominator(self) -> int:
         return self.turns.denominator
@@ -114,9 +120,9 @@ class RationalAngle:
             return 0
         return 1 if (q < d or q > 3 * d) else -1
 
-    def radians(self, prec: int = 200) -> mpmath.mpf:
+    def radians(self) -> mpmath.mpf:
         import mpmath
-        with mpmath.workprec(prec):
+        with mpmath.workprec(PRECISION_BITS):
             return 2 * mpmath.pi * mpmath.mpf(self.turns.numerator) / self.turns.denominator
 
 
@@ -172,13 +178,9 @@ class Surd:
             if is_perfect_square(self.d) is not None:
                 raise ValueError(f"surd radicand {self.d} is a perfect square")
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def numeric(self, prec: int = 200) -> mpmath.mpf:
+    def numeric(self) -> mpmath.mpf:
         import mpmath
-        with mpmath.workprec(prec):
+        with mpmath.workprec(PRECISION_BITS):
             out = mpmath.mpf(self.a.numerator) / self.a.denominator
             if self.b != 0:
                 out += (mpmath.mpf(self.b.numerator) / self.b.denominator
@@ -224,9 +226,8 @@ class ExactCosine:
 
     @classmethod
     def from_surd(cls, value: Union[Fraction, Surd]) -> "ExactCosine":
-        if isinstance(value, Fraction) or value.is_rational:
-            rat = value if isinstance(value, Fraction) else value.a
-            return cls.from_rational(rat)
+        if isinstance(value, Fraction):
+            return cls.from_rational(value)
         return cls(CosineKind.IRRATIONAL_SURD, surd=value)
 
     @classmethod
@@ -244,14 +245,14 @@ class ExactCosine:
     def is_rational(self) -> bool:
         return self.kind is CosineKind.RATIONAL
 
-    def numeric(self, prec: int = 200) -> mpmath.mpf:
+    def numeric(self) -> mpmath.mpf:
         import mpmath
-        with mpmath.workprec(prec):
+        with mpmath.workprec(PRECISION_BITS):
             if self.kind is CosineKind.RATIONAL:
                 return mpmath.mpf(self.rational.numerator) / self.rational.denominator
             if self.kind is CosineKind.IRRATIONAL_SURD:
-                return self.surd.numeric(prec)
-            value = mpmath.cos(self.witness.radians(prec))
+                return self.surd.numeric()
+            value = mpmath.cos(self.witness.radians())
             if self.cross_radicand is not None:
                 r = self.cross_radicand
                 base = self.cross_base or Fraction(0)

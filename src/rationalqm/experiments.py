@@ -11,15 +11,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-from .exact import (ExactCosine, RationalAngle, TriangleVerdict, itc_verdict,
-                    niven_cosine)
+from .exact import (PRECISION_BITS, ExactCosine, RationalAngle, TriangleVerdict,
+                    itc_verdict, niven_cosine)
 from .lattice import PNO, LatticePoint
 from .states import canonical_two_qubit_strings, make_singlet, singlet_params
 
 if TYPE_CHECKING:
     import mpmath
 
-PRECISION_BITS = 200
 # A float is exactly 2^-150, and mpmath compares with floats exactly, so the
 # tolerance needs no mpmath import until a numeric check runs.
 RESIDUAL_TOL = 2.0 ** -150
@@ -36,7 +35,7 @@ def _mpf(x: CosineValue) -> mpmath.mpf:
 
 def _cis(angle: RationalAngle) -> mpmath.mpc:
     import mpmath
-    return mpmath.exp(1j * angle.radians(PRECISION_BITS))
+    return mpmath.exp(1j * angle.radians())
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +66,7 @@ def mz_simulate(phi: RationalAngle) -> MZReport:
         e = _cis(phi)
         amp_keep = (1 + e) / 2   # port that reproduces the input at phi = 0
         amp_cross = (1 - e) / 2
-        half = phi.radians(PRECISION_BITS) / 2
+        half = phi.radians() / 2
         residual = max(abs(abs(amp_cross) ** 2 - mpmath.sin(half) ** 2),
                        abs(abs(amp_keep) ** 2 - mpmath.cos(half) ** 2))
         if not residual < RESIDUAL_TOL:
@@ -323,6 +322,14 @@ def _pair_seed(seed: int, index: int) -> int:
 _MAX_LANES = 1 << 13
 
 
+def _draw_bits(L: int) -> int:
+    k = L.bit_length()
+    if k > 31:
+        raise ValueError(f"L = {L} needs {k} bits per draw; at most 31 fit "
+                         f"a 32-bit lane with its carry bit")
+    return k
+
+
 def _sum_at_uniform_positions(values: Sequence[int], trials: int,
                               rng: random.Random) -> int:
     """Return sum(values[rng.randrange(L)] for _ in range(trials)), with
@@ -342,10 +349,7 @@ def _sum_at_uniform_positions(values: Sequence[int], trials: int,
     L = len(values)
     if L < 1:
         raise ValueError("need at least one value to sample from")
-    k = L.bit_length()
-    if k > 31:
-        raise ValueError(f"L = {L} needs {k} bits per draw; at most 31 fit "
-                         f"a 32-bit lane with its carry bit")
+    k = _draw_bits(L)
     # Runs of equal values: run j holds run_values[j] on [cuts[j-1], cuts[j]).
     starts = [i for i in range(1, L) if values[i] != values[i - 1]]
     run_values = [values[0]] + [values[i] for i in starts]
@@ -401,8 +405,7 @@ def bell_run(nominal_a: Fraction, nominal_b: Fraction, nominal_c: Fraction,
     if trials_per_pair < 100:
         raise ValueError(
             f"trials_per_pair = {trials_per_pair} < 100 is statistically meaningless")
-    if L % 2 != 0:
-        raise ValueError(f"singlet construction needs even L, got {L}")
+    _draw_bits(L)  # before any L-length string is built
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     labels = [("AB", nominal_a, nominal_b),

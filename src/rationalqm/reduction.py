@@ -2,10 +2,10 @@
 dynamics, and 2-adic diagnostics.
 
 A length-L string over {+1, -1} is the difference of two bitwise
-complementary base-2 integers: the +1 positions are the 1-digits of `plus`,
-the -1 positions the 1-digits of `minus`, with the string's first bit in the
-most significant digit. Halving truncates the least significant digit, so
-after L-1 steps the single surviving digit is the string's first bit.
+complementary base-2 integers, `plus` (stored) and `minus` (derived): the +1
+positions are the 1-digits of `plus`, the -1 positions those of `minus`, with
+the string's first bit in the most significant digit. Halving truncates the
+least significant digit, so after L-1 steps the surviving digit is the first bit.
 """
 
 from __future__ import annotations
@@ -24,17 +24,17 @@ class AlreadyReducedError(ValueError):
 @dataclass(frozen=True)
 class IntegerPair:
     plus: int
-    minus: int
     width: int
 
     def __post_init__(self):
         if self.width < 1:
             raise ValueError(f"width must be >= 1, got {self.width}")
-        mask = (1 << self.width) - 1
-        if self.plus ^ self.minus != mask:
-            raise ValueError(
-                f"plus={self.plus:b} and minus={self.minus:b} are not bitwise "
-                f"complementary at width {self.width}")
+        if not 0 <= self.plus < 1 << self.width:
+            raise ValueError(f"plus={self.plus} does not fit in width {self.width}")
+
+    @property
+    def minus(self) -> int:
+        return self.plus ^ ((1 << self.width) - 1)
 
     def bit_strings(self) -> tuple[str, str]:
         return (format(self.plus, f"0{self.width}b"),
@@ -48,15 +48,14 @@ def to_integer_pair(s: Sequence[int]) -> IntegerPair:
     plus = 0
     for b in bits:
         plus = (plus << 1) | (1 if b == 1 else 0)
-    mask = (1 << len(bits)) - 1
-    return IntegerPair(plus=plus, minus=plus ^ mask, width=len(bits))
+    return IntegerPair(plus=plus, width=len(bits))
 
 
 def reduce_step(p: IntegerPair) -> IntegerPair:
     """Divide both integers by two (truncating the last base-2 digit)."""
     if p.width < 2:
         raise AlreadyReducedError("width-1 pair is already fully reduced")
-    return IntegerPair(plus=p.plus >> 1, minus=p.minus >> 1, width=p.width - 1)
+    return IntegerPair(plus=p.plus >> 1, width=p.width - 1)
 
 
 @dataclass(frozen=True)

@@ -71,8 +71,6 @@ class TwoQubitState:
     xi: PNO
     params: TwoQubitParams
     L: int
-    top_canonical: Bits
-    bottom_canonical: Bits
 
     def outcome_pair(self) -> Tuple[int, int]:
         """The joint measurement outcome: both strings read at the position
@@ -121,8 +119,7 @@ def make_two_qubit(params: TwoQubitParams, L: int,
         raise ValueError(f"xi acts on {xi.size} positions but L = {L}")
     top_c, bottom_c = canonical_two_qubit_strings(params, L)
     return TwoQubitState(top=xi.apply(top_c), bottom=xi.apply(bottom_c), xi=xi,
-                         params=params, L=L,
-                         top_canonical=top_c, bottom_canonical=bottom_c)
+                         params=params, L=L)
 
 
 def singlet_params(cos_theta_ab: Fraction) -> TwoQubitParams:
@@ -172,7 +169,8 @@ def swap_perspective(state: TwoQubitState) -> TwoQubitState:
     """
     L = state.L
     new_top, new_bottom = state.bottom, state.top
-    params = _params_from_counts(state.bottom_canonical, state.top_canonical)
+    own_top, own_bottom = canonical_two_qubit_strings(state.params, L)
+    params = _params_from_counts(own_bottom, own_top)
     top_c, bottom_c = canonical_two_qubit_strings(params, L)
 
     # Bucket canonical positions by their (top, bottom) pair type, then hand
@@ -189,8 +187,7 @@ def swap_perspective(state: TwoQubitState) -> TwoQubitState:
         perm.append(buckets[key].pop())
     xi_prime = PNO(tuple(perm))
     return TwoQubitState(top=new_top, bottom=new_bottom, xi=xi_prime,
-                         params=params, L=L,
-                         top_canonical=top_c, bottom_canonical=bottom_c)
+                         params=params, L=L)
 
 
 def counterfactual_setting_change(state: TwoQubitState,

@@ -104,6 +104,20 @@ class TestSubcommands:
         assert out == ("trace: " + " -> ".join(expected["trace"]) + "\n"
                        f"outcome: {sign} after {L - 1} halving steps\n")
 
+    @pytest.mark.parametrize("m,n", [(0, 3), (4, 1)])
+    def test_pole_reports_its_normalised_n(self, capsys, m, n):
+        # every longitude of a pole is the same point, whose n is 0
+        code, out, _ = run(capsys, "measure", "--m", str(m), "--n", str(n),
+                           "--L", "4", "--seed", "1", "--json", "-")
+        assert code == 0
+        report = json.loads(out[:out.rindex("}") + 1])["report"]
+        assert report == reference_measure_report(m, 0, 4, 1)
+        code, out, _ = run(capsys, "state", "--m", str(m), "--n", str(n),
+                           "--L", "4", "--seed", "1", "--json", "-")
+        assert code == 0
+        assert json.loads(out[:out.rindex("}") + 1])["report"]["n"] == 0
+        assert f"qubit at (m={m}, n=0, L=4), seed=1" in out
+
     def test_state_reports(self, capsys):
         code, out, _ = run(capsys, "state", "--singlet-cos", "1/2", "--L", "8",
                            "--seed", "1", "--json")
@@ -315,10 +329,70 @@ class TestExitCodes:
         assert "--csv" in err and out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("literal", ["1_0", "\u0664", "1e1", "4.0"])
+    @pytest.mark.parametrize("argv", [
+        ("sphere", "--L", "{}"),
+        ("state", "--m", "{}", "--L", "8", "--seed", "1"),
+        ("state", "--m", "1", "--n", "{}", "--L", "8", "--seed", "1"),
+        ("measure", "--m", "1", "--L", "{}", "--seed", "1"),
+        ("measure", "--m", "1", "--L", "8", "--seed", "{}"),
+        ("uncertainty", "--samples", "{}"),
+        ("uncertainty", "--samples", "10", "--seed", "{}"),
+        ("bell", "--angles", "0,1/6,1/3", "--L", "{}", "--trials", "1000",
+         "--seed", "1"),
+        ("bell", "--angles", "0,1/6,1/3", "--L", "8", "--trials", "{}",
+         "--seed", "1"),
+        ("scan-exceptions", "--max-den", "{}"),
+    ], ids=["sphere-L", "state-m", "state-n", "measure-L", "measure-seed",
+            "samples", "samples-seed", "bell-L", "bell-trials", "max-den"])
+    def test_only_ascii_integers(self, capsys, argv, literal):
+        code, out, err = run(capsys, *(arg.format(literal) for arg in argv))
+        assert code == 2 and out == ""
+        assert "not an integer" in err
+
+    @pytest.mark.parametrize("line", ["L = 3_60", "trials = \u0665\u0660\u0660",
+                                      "seed = 1e1"])
+    def test_only_ascii_integers_in_config(self, capsys, tmp_path, line):
+        cfg = tmp_path / "bell.cfg"
+        cfg.write_text(f"angles = 0,1/6,1/3\nL = 360\ntrials = 500\nseed = 4\n{line}\n",
+                       encoding="utf-8")
+        code, out, err = run(capsys, "bell", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "not an integer" in err
+
     def test_tiny_bell_run(self, capsys):
         code, _, err = run(capsys, "bell", "--angles", "0,1/6,1/3", "--L", "360",
                            "--trials", "10", "--seed", "1")
         assert code == 2
+
+
+class TestScanExceptions:
+    def test_json_report_holds_the_printed_triangles(self, capsys):
+        code, out, _ = run(capsys, "scan-exceptions", "--max-den", "5", "--json", "-")
+        assert code == 0
+        payload, end = json.JSONDecoder().raw_decode(out)
+        lines = out[end:].strip().splitlines()
+        triangles = payload["report"]["triangles"]
+        assert payload["report"]["max_den"] == 5 and len(triangles) == 64
+        assert lines[-1] == "64 exceptional triangles found"
+        assert lines[:-1] == [
+            f"cos_ab={Fraction(t['cos_ab'])}, cos_bc={Fraction(t['cos_bc'])}, "
+            f"phi={Fraction(t['turns'])} turns -> {Fraction(t['third_side'])}"
+            for t in triangles]
+
+    @pytest.mark.parametrize("turns", ["1.5", "1/0", "1/8,x", ""])
+    def test_bad_turns_exit_2(self, capsys, turns):
+        code, out, err = run(capsys, "scan-exceptions", "--turns", turns)
+        assert code == 2 and out == ""
+        assert "--turns" in err and "Traceback" not in err
+
+    def test_negative_turns_is_a_value(self, capsys):
+        # -1/8 of a turn is the angle 7/8
+        code, out, _ = run(capsys, "scan-exceptions", "--max-den", "5",
+                           "--turns", "-1/8")
+        assert code == 0 and "phi=7/8 turns" in out
+        assert (code, out) == run(capsys, "scan-exceptions", "--max-den", "5",
+                                  "--turns", "7/8")[:2]
 
 
 class TestJsonReports:
@@ -367,6 +441,9 @@ class TestConfigFile:
                        "trials = 500\nseed = 4\n")
         out = parse_config_file(str(cfg))
         assert out == {"angles": "0,1/6,1/3", "L": 360, "trials": 500, "seed": 4}
+        cfg.write_text("L = 3_60\n")
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_config_file(str(cfg))
 
     def test_bad_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -504,6 +581,7 @@ argvs = [
     ["delayed-choice", "--turns", "1/5", "--mirror", "in", "--json", "-"],
     ["sg", "--cos-ab", "3/5", "--cos-bc", "3/5", "--phi-b", "1/2", "--json", "-"],
     ["uncertainty", "--samples", "100", "--seed", "1", "--json", "-"],
+    ["scan-exceptions", "--max-den", "4", "--json", "-"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in argvs]
@@ -520,7 +598,7 @@ print(json.dumps({"codes": codes, "loaded_before_mz": loaded_before_mz,
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
     result = json.loads(proc.stdout)
-    assert result["codes"] == [0] * 9
+    assert result["codes"] == [0] * 10
     assert result["loaded_before_mz"] is False
     assert result["mz_code"] == 0
     payload, _ = json.JSONDecoder().raw_decode(result["mz_out"])

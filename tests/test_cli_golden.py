@@ -13,8 +13,6 @@ import hashlib
 import io
 import os
 import re
-import runpy
-import sys
 from pathlib import Path
 
 import pytest
@@ -22,7 +20,6 @@ import pytest
 from rationalqm.cli import main
 
 _TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
-_SCAN_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "scan_triangle_exceptions.py"
 
 CASES = {
     "sphere-L1": ["sphere", "--L", "1", "--json", "-"],
@@ -78,7 +75,7 @@ CASES = {
 # name: (exit code, stdout sha256, stderr sha256, {written file: sha256})
 GOLDEN = {
     'bell-L2': (0, '402982ed6fde252d', '', {}),
-    'bell-L3': (2, '', '610240d118b46f62', {}),
+    'bell-L3': (2, '', 'f5679eda53bf2387', {}),
     'bell-readme': (0, 'ef55385fa73850a0', '', {'bell.csv': 'ee49f04b5172c110'}),
     'delayed-choice-in': (0, '260efacb8e4bb804', '', {}),
     'delayed-choice-out': (0, 'c2c3e32b239a69d6', '', {}),
@@ -86,8 +83,8 @@ GOLDEN = {
     'itc-surd': (0, '3141728e1b7b1ac2', '', {}),
     'measure-L1024': (0, 'e048fb9d84861158', '', {'measure.json': '77fed3252b690bc1'}),
     'measure-L4': (0, '570000e5028c8f1c', '', {}),
-    'measure-pole-m0': (0, '0ab85e292a29a226', '', {}),
-    'measure-pole-mL': (0, '55d591938f644202', '', {}),
+    'measure-pole-m0': (0, 'cb837464e2c57386', '', {}),
+    'measure-pole-mL': (0, 'f6c6fad83c9f5c06', '', {}),
     'mz-niven': (0, '012a945eaa169264', '', {}),
     'mz-rational': (0, 'e6b664c98db0c4e4', '', {}),
     'niven-irrational': (0, 'e46588da5f2420e9', '', {}),
@@ -98,13 +95,13 @@ GOLDEN = {
     'scan-exceptions-turns': (0, '89eeabb1a78573c7', '', {}),
     'sg': (0, 'c7a52e3c51a93df2', '', {}),
     'sg-degenerate': (0, '76a6e7ae1533ec9b', '', {}),
-    'sphere-L-separator': (0, '8092e3b77845c476', '', {}),
+    'sphere-L-separator': (2, '', 'dd7bfb0adc47411f', {}),
     'sphere-L1': (0, 'b36f12841258eabf', '', {}),
     'sphere-L4-csv': (0, 'bcae915aff713e63', '', {'sphere.csv': '3b72d7a5989c152b'}),
     'sphere-L64': (0, '9e1f7597ee824fdb', '', {'sphere.json': 'f7f0efd28d961139'}),
-    'state-pole': (0, '0c1e607e2fc91138', '', {}),
+    'state-pole': (0, '427dba3063dbf93a', '', {}),
     'state-qubit': (0, 'b1a66982df4337c2', '', {}),
-    'state-seed-arabic-digit': (0, '8def00beaf0dc8a8', '', {}),
+    'state-seed-arabic-digit': (2, '', '0658668e08650311', {}),
     'state-singlet-L360': (0, 'f54af0e94145ead3', '', {'state.json': 'db3fd91a773d1696'}),
     'state-singlet-L8': (0, 'be5d0cb3e7329bcf', '', {}),
     'state-unrealisable': (3, '', '41c483e9242a0ee7', {}),
@@ -119,24 +116,16 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(_TIMESTAMP.sub(b'"timestamp": "-"', data)).hexdigest()[:16]
 
 
-def _run(argv):
-    if argv[0] == "scan-exceptions":
-        sys.argv = [str(_SCAN_SCRIPT)] + argv[1:]
-        return runpy.run_path(str(_SCAN_SCRIPT))["main"]()
-    return main(argv)
-
-
 def outcome(argv, workdir: Path):
     """Run `argv` in `workdir` and digest what it printed and wrote."""
     out, err = io.StringIO(), io.StringIO()
-    cwd, saved_argv = os.getcwd(), sys.argv
+    cwd = os.getcwd()
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = _run(list(argv))
+            code = main(list(argv))
     finally:
         os.chdir(cwd)
-        sys.argv = saved_argv
     files = {p.name: _sha(p.read_bytes()) for p in sorted(workdir.iterdir())}
     return (code, _sha(out.getvalue().encode()), _sha(err.getvalue().encode()), files)
 

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 
 from rationalqm import experiments
-from rationalqm.exact import RationalAngle, cos_squared
+from rationalqm.exact import RationalAngle, cos_squared, parse_fraction
 from rationalqm.experiments import (_sum_at_uniform_positions,
                                     aggregate_directions,
                                     bell_run, delayed_choice,
@@ -15,11 +15,11 @@ from rationalqm.experiments import (_sum_at_uniform_positions,
                                     sg_counterfactual, single_trial_outcomes,
                                     snap_to_lattice, uncertainty_check)
 from rationalqm.lattice import PNO
-from rationalqm.states import make_singlet
+from rationalqm.states import canonical_two_qubit_strings, make_singlet
 
 
 def angle(text):
-    return RationalAngle.from_string(text)
+    return RationalAngle(parse_fraction(text))
 
 
 def reference_position_sum(values, trials, rng):
@@ -238,6 +238,15 @@ class TestBellHarness:
         with pytest.raises(ValueError):
             bell_run(Fraction(0), Fraction(1, 6), Fraction(1, 3), 361, 1000, 1)
 
+    def test_checks_draw_width_before_building_strings(self, monkeypatch):
+        # the L-length singlet strings are never built for an L whose draws
+        # do not fit a 31-bit lane, so nothing of size 2^31 is allocated
+        def no_strings(*args):
+            raise AssertionError("singlet strings built before the width check")
+        monkeypatch.setattr(experiments, "canonical_two_qubit_strings", no_strings)
+        with pytest.raises(ValueError, match="at most 31"):
+            bell_run(Fraction(0), Fraction(1, 6), Fraction(1, 3), 2 ** 31, 100, 1)
+
     def test_small_run_structure(self):
         report = bell_run(Fraction(0), Fraction(1, 6), Fraction(1, 3),
                           360, 500, seed=3)
@@ -308,9 +317,10 @@ class TestBellHarness:
         for seed in range(50):
             xi = PNO.from_seed(seed, 8)
             state = make_singlet(Fraction(1, 2), 8, xi)
+            top_c, bottom_c = canonical_two_qubit_strings(state.params, state.L)
             pos = xi.perm[0]
             assert single_trial_outcomes(Fraction(1, 2), 8, seed) == (
-                state.top_canonical[pos], state.bottom_canonical[pos])
+                top_c[pos], bottom_c[pos])
 
 
 class TestUniformPositionSum:

@@ -31,8 +31,12 @@ class TestIntegerPair:
         assert p.bit_strings() == ("1001", "0110")
 
     def test_complementarity_enforced(self):
-        with pytest.raises(ValueError):
-            IntegerPair(plus=0b101, minus=0b101, width=3)
+        # minus is derived from plus, so the stored fact to check is that
+        # plus fits in width digits
+        for plus in (0b1000, 0b1111, -1):
+            with pytest.raises(ValueError):
+                IntegerPair(plus=plus, width=3)
+        assert IntegerPair(plus=0b101, width=3).minus == 0b010
 
     def test_round_trip_exhaustive(self):
         for L in range(1, 13):
@@ -56,7 +60,7 @@ class TestReduction:
 
     def test_width_one_cannot_reduce(self):
         with pytest.raises(AlreadyReducedError):
-            reduce_step(IntegerPair(plus=1, minus=0, width=1))
+            reduce_step(IntegerPair(plus=1, width=1))
 
     def test_trace_display(self):
         trace = measure((1, -1, -1, 1))
@@ -69,7 +73,7 @@ class TestReduction:
     def test_all_minus_gives_minus(self):
         trace = measure((-1, -1, -1))
         assert trace.outcome == -1
-        assert trace.steps[-1] == IntegerPair(plus=0, minus=1, width=1)
+        assert trace.steps[-1] == IntegerPair(plus=0, width=1)
 
     def test_complementarity_preserved_along_trace(self):
         for L in range(1, 11):

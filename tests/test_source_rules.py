@@ -1,4 +1,4 @@
-"""Rules on the source itself: invariants in `src/` and `scripts/` raise
+"""Rules on the source itself: invariants in `src/` raise
 real exceptions, because `python -O` strips `assert` statements."""
 
 import ast
@@ -8,7 +8,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_no_assert_statements():
-    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").rglob("*.py"))
+    files = sorted((ROOT / "src").rglob("*.py"))
     assert files
     found = [f"{path.relative_to(ROOT)}:{node.lineno}"
              for path in files

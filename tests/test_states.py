@@ -165,8 +165,9 @@ class TestTwoQubit:
                                 cond_plus=Fraction(1), cond_minus=Fraction(0))
         xi = HiddenPermutation.from_seed(3, 6)
         state = make_two_qubit(params, 6, xi)
-        assert state.top == xi.apply(state.top_canonical)
-        assert state.bottom == xi.apply(state.bottom_canonical)
+        top_c, bottom_c = canonical_two_qubit_strings(params, 6)
+        assert state.top == xi.apply(top_c)
+        assert state.bottom == xi.apply(bottom_c)
         assert state.outcome_pair() == (state.top[0], state.bottom[0])
 
     def test_json_record(self):
@@ -232,8 +233,9 @@ class TestSwapPerspective:
             cos = Fraction(2 * m - L, L)
             state = make_singlet(cos, L, HiddenPermutation.from_seed(rng.randrange(10**6), L))
             swapped = swap_perspective(state)
-            assert swapped.xi.apply(swapped.top_canonical) == swapped.top
-            assert swapped.xi.apply(swapped.bottom_canonical) == swapped.bottom
+            top_c, bottom_c = canonical_two_qubit_strings(swapped.params, L)
+            assert swapped.xi.apply(top_c) == swapped.top
+            assert swapped.xi.apply(bottom_c) == swapped.bottom
 
     def test_involution_on_ordered_strings(self):
         state = make_singlet(Fraction(0), 12, HiddenPermutation.from_seed(23, 12))
