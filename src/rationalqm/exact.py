@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     import mpmath
@@ -82,10 +82,6 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
-def _as_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 @dataclass(frozen=True)
 class RationalAngle:
     """An angle stored as a reduced fraction of a full turn, in [0, 1).
@@ -126,23 +122,6 @@ class RationalAngle:
             return 2 * mpmath.pi * mpmath.mpf(self.turns.numerator) / self.turns.denominator
 
 
-def is_perfect_square(r: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None.
-
-    Returns sqrt(r) as a Fraction iff numerator and denominator are both
-    perfect squares of integers.
-    """
-    r = _as_fraction(r)
-    n, d = r.numerator, r.denominator
-    if n < 0:
-        raise ValueError(f"is_perfect_square: negative input {r}")
-    pn = math.isqrt(n)
-    pd = math.isqrt(d)
-    if pn * pn == n and pd * pd == d:
-        return Fraction(pn, pd)
-    return None
-
-
 def _extract_square_factor(n: int) -> tuple[int, int]:
     """Write n = s^2 * n0 with s as large as small-prime factoring finds.
 
@@ -175,7 +154,7 @@ class Surd:
         if self.b != 0:
             if self.d <= 0 or self.d.denominator != 1:
                 raise ValueError(f"surd radicand must be a positive integer, got {self.d}")
-            if is_perfect_square(self.d) is not None:
+            if math.isqrt(self.d.numerator) ** 2 == self.d.numerator:
                 raise ValueError(f"surd radicand {self.d} is a perfect square")
 
     def numeric(self) -> mpmath.mpf:
@@ -186,17 +165,6 @@ class Surd:
                 out += (mpmath.mpf(self.b.numerator) / self.b.denominator
                         * mpmath.sqrt(int(self.d)))
             return out
-
-
-def _surd(a: Fraction, b: Union[int, Fraction], p: int, q: int) -> Union[Fraction, Surd]:
-    """Canonical a + b*sqrt(p/q) for b != 0 and a reduced p/q > 0: a Fraction
-    when rational, else a Surd over a non-square integer radicand."""
-    rp, rq = math.isqrt(p), math.isqrt(q)
-    if rp * rp == p and rq * rq == q:
-        return a + b * Fraction(rp, rq)
-    # sqrt(p/q) = sqrt(p*q) / q
-    s, n0 = _extract_square_factor(p * q)
-    return Surd(a, b * Fraction(s, q), Fraction(n0))
 
 
 class CosineKind(Enum):
@@ -222,13 +190,7 @@ class ExactCosine:
 
     @classmethod
     def from_rational(cls, value: Fraction) -> "ExactCosine":
-        return cls(CosineKind.RATIONAL, rational=_as_fraction(value))
-
-    @classmethod
-    def from_surd(cls, value: Union[Fraction, Surd]) -> "ExactCosine":
-        if isinstance(value, Fraction):
-            return cls.from_rational(value)
-        return cls(CosineKind.IRRATIONAL_SURD, surd=value)
+        return cls(CosineKind.RATIONAL, rational=value)
 
     @classmethod
     def by_niven(cls, witness: RationalAngle,
@@ -272,6 +234,17 @@ class ExactCosine:
                 f"{sorted(RATIONAL_COS_SQ_DENOMINATORS)})")
 
 
+def _surd(a: Fraction, sign: int, p: int, q: int) -> ExactCosine:
+    """Certificate of a + sign*sqrt(p/q) for p/q > 0: rational exactly when
+    p*q is a perfect square, else a Surd over a non-square integer radicand."""
+    # sqrt(p/q) = sqrt(p*q) / q = (s/q) * sqrt(n0)
+    s, n0 = _extract_square_factor(p * q)
+    b = sign * Fraction(s, q)
+    if n0 == 1:
+        return ExactCosine.from_rational(a + b)
+    return ExactCosine(CosineKind.IRRATIONAL_SURD, surd=Surd(a, b, Fraction(n0)))
+
+
 def niven_cosine(angle: RationalAngle) -> ExactCosine:
     """Exact classification of cos(2pi * angle.turns).
 
@@ -285,8 +258,7 @@ def niven_cosine(angle: RationalAngle) -> ExactCosine:
     c2 = _COS_SQ_BY_DENOMINATOR.get(d)
     if c2 is None:
         return ExactCosine.by_niven(angle)
-    return ExactCosine.from_surd(
-        _surd(Fraction(0), angle.cosine_sign(), c2.numerator, c2.denominator))
+    return _surd(Fraction(0), angle.cosine_sign(), c2.numerator, c2.denominator)
 
 
 def cos_squared(angle: RationalAngle) -> Optional[Fraction]:
@@ -296,7 +268,8 @@ def cos_squared(angle: RationalAngle) -> Optional[Fraction]:
 
 
 def _check_cosine_range(name: str, value: Fraction) -> Fraction:
-    value = _as_fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if abs(value.numerator) > value.denominator:
         raise ValueError(f"|{name}| must be <= 1, got {value}")
     return value
@@ -346,7 +319,7 @@ def _third_side(cos_ab: Fraction, cos_bc: Fraction,
     # rational iff r * c2 is a perfect square.
     n, d = r_num * c2.numerator, r_den * c2.denominator
     g = math.gcd(n, d)
-    return ExactCosine.from_surd(_surd(base, sign, n // g, d // g))
+    return _surd(base, sign, n // g, d // g)
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,9 @@ class PNO:
 
     `signs` defaults to None, meaning every sign is +1: then `apply` is a
     pure reordering, which is what the hidden permutation xi of a state is.
-    `seed` records the seed of a perm made by `from_seed`; such a perm is a
-    Fisher-Yates shuffle and is not checked again.
+    `seed` records the seed of a perm made by `from_seed`. Every perm given
+    to the constructor is checked; only `from_seed`, whose perm is its own
+    Fisher-Yates shuffle of 0..size-1, skips the check.
     """
 
     perm: Tuple[int, ...]
@@ -41,7 +42,7 @@ class PNO:
 
     def __post_init__(self):
         n = len(self.perm)
-        if self.seed is None and sorted(self.perm) != list(range(n)):
+        if sorted(self.perm) != list(range(n)):
             raise ValueError("perm is not a permutation of 0..n-1")
         if self.signs is not None and (len(self.signs) != n or
                                        not all(x in (1, -1) for x in self.signs)):
@@ -61,7 +62,9 @@ class PNO:
             raise ValueError(f"L must be positive, got {size}")
         perm = list(range(size))
         random.Random(seed).shuffle(perm)
-        return cls(tuple(perm), seed=seed)
+        xi = object.__new__(cls)  # skips __post_init__: a shuffle is a permutation
+        xi.__dict__.update(perm=tuple(perm), signs=None, seed=seed)
+        return xi
 
     @property
     def size(self) -> int:

@@ -1,5 +1,5 @@
-"""Integer-pair representation of bit strings, the halving state-reduction
-dynamics, and 2-adic diagnostics.
+"""Integer-pair representation of bit strings and the halving
+state-reduction dynamics.
 
 A length-L string over {+1, -1} is the difference of two bitwise
 complementary base-2 integers, `plus` (stored) and `minus` (derived): the +1
@@ -11,7 +11,6 @@ least significant digit, so after L-1 steps the surviving digit is the first bit
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Sequence
 
 from .lattice import validate_bits
@@ -92,17 +91,4 @@ def measure(s: Sequence[int]) -> ReductionTrace:
     pair = to_integer_pair(s)
     outcome = 1 if pair.plus >> (pair.width - 1) else -1
     return ReductionTrace(initial=pair, outcome=outcome)
-
-
-def two_adic_valuation(n: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of 0 is infinite")
-    return (n & -n).bit_length() - 1
-
-
-def two_adic_distance(a: int, b: int) -> Fraction:
-    """2^(-v) where v is the 2-adic valuation of a - b; 0 when equal."""
-    if a == b:
-        return Fraction(0)
-    return Fraction(1, 2 ** two_adic_valuation(a - b))
 

@@ -31,9 +31,15 @@ class QubitState:
     string: Bits
 
 
+def _check_xi(xi: PNO, L: int) -> None:
+    if xi.signs is not None:
+        raise ValueError("xi must be a sign-free permutation, got a signed PNO")
+    if xi.size != L:
+        raise ValueError(f"xi acts on {xi.size} positions but L = {L}")
+
+
 def make_qubit(point: LatticePoint, xi: PNO) -> QubitState:
-    if xi.size != point.L:
-        raise ValueError(f"xi acts on {xi.size} positions but L = {point.L}")
+    _check_xi(xi, point.L)
     return QubitState(point=point, xi=xi, string=xi.apply(canonical_bitstring(point)))
 
 
@@ -70,7 +76,10 @@ class TwoQubitState:
     bottom: Bits
     xi: PNO
     params: TwoQubitParams
-    L: int
+
+    @property
+    def L(self) -> int:
+        return len(self.top)
 
     def outcome_pair(self) -> Tuple[int, int]:
         """The joint measurement outcome: both strings read at the position
@@ -115,11 +124,10 @@ def canonical_two_qubit_strings(params: TwoQubitParams, L: int) -> Tuple[Bits, B
 def make_two_qubit(params: TwoQubitParams, L: int,
                    xi: PNO) -> TwoQubitState:
     """Build the correlated pair of strings and apply the common xi to both."""
-    if xi.size != L:
-        raise ValueError(f"xi acts on {xi.size} positions but L = {L}")
+    _check_xi(xi, L)
     top_c, bottom_c = canonical_two_qubit_strings(params, L)
     return TwoQubitState(top=xi.apply(top_c), bottom=xi.apply(bottom_c), xi=xi,
-                         params=params, L=L)
+                         params=params)
 
 
 def singlet_params(cos_theta_ab: Fraction) -> TwoQubitParams:
@@ -147,47 +155,6 @@ def exact_singlet_correlation(cos_theta_ab: Fraction, L: int) -> Fraction:
     sin^2(theta/2) - cos^2(theta/2) = -cos(theta_AB) by construction."""
     top, bottom = canonical_two_qubit_strings(singlet_params(cos_theta_ab), L)
     return Fraction(sum(a * b for a, b in zip(top, bottom)), L)
-
-
-def _params_from_counts(top_c: Bits, bottom_c: Bits) -> TwoQubitParams:
-    L = len(top_c)
-    m = sum(1 for b in top_c if b == 1)
-    c_pp = sum(1 for a, b in zip(top_c, bottom_c) if a == 1 and b == 1)
-    c_mp = sum(1 for a, b in zip(top_c, bottom_c) if a == -1 and b == 1)
-    cond_plus = Fraction(c_pp, m) if m else Fraction(0)
-    cond_minus = Fraction(c_mp, L - m) if L - m else Fraction(0)
-    return TwoQubitParams(top_ones=Fraction(m, L),
-                          cond_plus=cond_plus, cond_minus=cond_minus)
-
-
-def swap_perspective(state: TwoQubitState) -> TwoQubitState:
-    """Present the same pair with the roles of the two qubits exchanged.
-
-    The ordered strings of the result are exactly the input's (bottom, top);
-    the partner permutation xi' is constructed by explicitly matching the
-    swapped canonical layout against those strings, pair type by pair type.
-    """
-    L = state.L
-    new_top, new_bottom = state.bottom, state.top
-    own_top, own_bottom = canonical_two_qubit_strings(state.params, L)
-    params = _params_from_counts(own_bottom, own_top)
-    top_c, bottom_c = canonical_two_qubit_strings(params, L)
-
-    # Bucket canonical positions by their (top, bottom) pair type, then hand
-    # one out for each target position of the same type.
-    buckets: dict = {}
-    for j in range(L):
-        buckets.setdefault((top_c[j], bottom_c[j]), []).append(j)
-    perm = []
-    for i in range(L):
-        key = (new_top[i], new_bottom[i])
-        if not buckets.get(key):
-            raise ValueError(
-                f"no matching partner permutation exists: pair type {key} exhausted")
-        perm.append(buckets[key].pop())
-    xi_prime = PNO(tuple(perm))
-    return TwoQubitState(top=new_top, bottom=new_bottom, xi=xi_prime,
-                         params=params, L=L)
 
 
 def counterfactual_setting_change(state: TwoQubitState,

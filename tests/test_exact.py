@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from rationalqm.exact import (CosineKind, ExactCosine,
                               RATIONAL_COS_DENOMINATORS,
                               RATIONAL_COS_SQ_DENOMINATORS, RationalAngle,
-                              Surd, cos_squared, is_perfect_square,
-                              itc_verdict, niven_cosine, parse_fraction,
+                              Surd, cos_squared, itc_verdict, niven_cosine, parse_fraction,
                               spherical_third_side)
 
 TOL = mpmath.mpf(2) ** -150
@@ -72,25 +71,6 @@ class TestNivenCosine:
                 assert c2 is None
 
 
-class TestPerfectSquare:
-    def test_rational_square(self):
-        assert is_perfect_square(Fraction(144, 625)) == Fraction(12, 25)
-
-    def test_one(self):
-        assert is_perfect_square(Fraction(1)) == 1
-
-    def test_two_is_not_square(self):
-        assert is_perfect_square(Fraction(2)) is None
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            is_perfect_square(Fraction(-1, 4))
-
-    @given(st.fractions(min_value=0, max_value=100, max_denominator=50))
-    def test_square_then_root(self, r):
-        assert is_perfect_square(r * r) == r
-
-
 class TestSurd:
     # Surds reach the public API only as certificates, so canonical form is
     # checked on third sides at interior angles with rational cos^2.
@@ -116,7 +96,22 @@ class TestSurd:
                     if out.kind is CosineKind.IRRATIONAL_SURD:
                         s = out.surd
                         assert s.b != 0 and s.d.denominator == 1
-                        assert is_perfect_square(s.d) is None
+                        assert math.isqrt(s.d.numerator) ** 2 != s.d.numerator
+
+    @pytest.mark.parametrize("d", [Fraction(4), Fraction(1, 2), Fraction(0),
+                                   Fraction(-2)])
+    def test_radicand_must_be_a_non_square_positive_integer(self, d):
+        with pytest.raises(ValueError, match="radicand"):
+            Surd(Fraction(1), Fraction(1, 3), d)
+
+    @pytest.mark.parametrize("d", [Fraction(2), Fraction(12)])
+    def test_non_square_integer_radicand_accepted(self, d):
+        assert Surd(Fraction(1), Fraction(1, 3), d).d == d
+
+    @pytest.mark.parametrize("d", [Fraction(4), Fraction(1, 2), Fraction(0),
+                                   Fraction(-2), Fraction(2)])
+    def test_any_radicand_accepted_without_a_radical(self, d):
+        assert Surd(Fraction(1), Fraction(0), d).d == d
 
 
 class TestSphericalThirdSide:
@@ -170,8 +165,8 @@ class TestSphericalThirdSide:
                 expected += sin_ab * sin_bc * mpmath.cos(phi.radians())
                 assert abs(out.numeric() - expected) < TOL
                 if out.kind is CosineKind.IRRATIONAL_SURD:
-                    assert out.surd.b != 0
-                    assert is_perfect_square(out.surd.d) is None
+                    d = out.surd.d.numerator
+                    assert out.surd.b != 0 and math.isqrt(d) ** 2 != d
 
 
 class TestItcVerdict:

@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -7,8 +6,7 @@ from hypothesis import strategies as st
 
 from rationalqm.lattice import PNO, LatticePoint
 from rationalqm.reduction import (AlreadyReducedError, IntegerPair, measure,
-                                  reduce_step, to_integer_pair,
-                                  two_adic_distance, two_adic_valuation)
+                                  reduce_step, to_integer_pair)
 from rationalqm.states import make_qubit
 
 bits_strategy = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=64).map(tuple)
@@ -117,33 +115,10 @@ class TestReduction:
 
 
 class TestTwoAdic:
-    def test_examples(self):
-        assert two_adic_valuation(8) == 3
-        assert two_adic_valuation(5) == 0
-        assert two_adic_distance(8, 0) == Fraction(1, 8)
-        assert two_adic_distance(5, 1) == Fraction(1, 4)
-        assert two_adic_distance(3, 3) == 0
-
-    def test_valuation_of_zero_rejected(self):
-        with pytest.raises(ValueError):
-            two_adic_valuation(0)
-
-    @given(st.integers(min_value=-10**9, max_value=10**9),
-           st.integers(min_value=-10**9, max_value=10**9))
-    def test_symmetry(self, a, b):
-        assert two_adic_distance(a, b) == two_adic_distance(b, a)
-
-    @given(st.integers(min_value=-10**6, max_value=10**6),
-           st.integers(min_value=-10**6, max_value=10**6),
-           st.integers(min_value=-10**6, max_value=10**6))
-    def test_ultrametric(self, a, b, c):
-        assert two_adic_distance(a, c) <= max(two_adic_distance(a, b),
-                                              two_adic_distance(b, c))
-
     def test_reduction_merges_two_adically_close_pairs(self):
         # strings that differ only in their trailing digits become identical
         # once those digits are truncated away
         p = to_integer_pair((1, -1, -1, 1, 1, -1))
         q = to_integer_pair((1, -1, -1, 1, -1, 1))
-        assert two_adic_distance(p.plus, q.plus) == 1
+        assert p.plus != q.plus
         assert reduce_step(reduce_step(p)).plus == reduce_step(reduce_step(q)).plus

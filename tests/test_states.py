@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rationalqm.cli import to_jsonable
-from rationalqm.lattice import PNO, LatticePoint, canonical_bitstring, ones_fraction
+from rationalqm.lattice import (PNO, QUATERNIONS, LatticePoint, canonical_bitstring,
+                               ones_fraction)
 from rationalqm.states import (HiddenPermutation, LatticeUnrealisableError,
                                TwoQubitParams, canonical_two_qubit_strings,
                                counterfactual_setting_change,
                                exact_singlet_correlation, make_qubit,
-                               make_singlet, make_two_qubit, singlet_params,
-                               swap_perspective)
+                               make_singlet, make_two_qubit, singlet_params)
 
 
 class TestHiddenPermutation:
@@ -40,6 +40,10 @@ class TestHiddenPermutation:
     def test_bad_perm_rejected(self):
         with pytest.raises(ValueError):
             PNO((0, 0, 1))
+
+    def test_seed_does_not_skip_the_permutation_check(self):
+        with pytest.raises(ValueError, match="not a permutation"):
+            PNO((0, 0, 0), seed=5)
 
     def test_needs_seed_or_perm(self):
         # no permutation at all, and no seed: never one drawn from os entropy
@@ -79,6 +83,11 @@ class TestQubitState:
         with pytest.raises(ValueError):
             make_qubit(LatticePoint(2, 0, 4),
                        PNO(tuple(range(6))))
+
+    def test_signed_xi_rejected(self):
+        # a signed xi would flip bits: the north pole would read (1, 1, -1, -1)
+        with pytest.raises(ValueError, match="sign-free"):
+            make_qubit(LatticePoint(4, 0, 4), QUATERNIONS["I"])
 
     def test_equivalence_class_independent_of_xi(self):
         p = LatticePoint(3, 2, 7)
@@ -170,6 +179,12 @@ class TestTwoQubit:
         assert state.bottom == xi.apply(bottom_c)
         assert state.outcome_pair() == (state.top[0], state.bottom[0])
 
+    def test_signed_xi_rejected(self):
+        params = TwoQubitParams(top_ones=Fraction(1, 2),
+                                cond_plus=Fraction(1), cond_minus=Fraction(0))
+        with pytest.raises(ValueError, match="sign-free"):
+            make_two_qubit(params, 4, QUATERNIONS["J"])
+
     def test_json_record(self):
         params = TwoQubitParams(top_ones=Fraction(1, 2),
                                 cond_plus=Fraction(1), cond_minus=Fraction(0))
@@ -210,38 +225,6 @@ class TestSinglet:
     def test_unrealisable_cos_rejected(self):
         with pytest.raises(LatticeUnrealisableError):
             make_singlet(Fraction(1, 2), 6, PNO(tuple(range(6))))
-
-
-class TestSwapPerspective:
-    def test_strings_exchange(self):
-        state = make_singlet(Fraction(1, 2), 8, HiddenPermutation.from_seed(5, 8))
-        swapped = swap_perspective(state)
-        assert swapped.top == state.bottom
-        assert swapped.bottom == state.top
-
-    def test_joint_outcomes_preserved_at_every_position(self):
-        state = make_singlet(Fraction(1, 2), 8, HiddenPermutation.from_seed(5, 8))
-        swapped = swap_perspective(state)
-        for i in range(8):
-            assert (swapped.top[i], swapped.bottom[i]) == (state.bottom[i], state.top[i])
-
-    def test_partner_permutation_reproduces_strings(self):
-        rng = random.Random(17)
-        for _ in range(50):
-            L = 2 * rng.randrange(1, 10)
-            m = 2 * rng.randrange(0, L // 2 + 1)
-            cos = Fraction(2 * m - L, L)
-            state = make_singlet(cos, L, HiddenPermutation.from_seed(rng.randrange(10**6), L))
-            swapped = swap_perspective(state)
-            top_c, bottom_c = canonical_two_qubit_strings(swapped.params, L)
-            assert swapped.xi.apply(top_c) == swapped.top
-            assert swapped.xi.apply(bottom_c) == swapped.bottom
-
-    def test_involution_on_ordered_strings(self):
-        state = make_singlet(Fraction(0), 12, HiddenPermutation.from_seed(23, 12))
-        twice = swap_perspective(swap_perspective(state))
-        assert twice.top == state.top
-        assert twice.bottom == state.bottom
 
 
 class TestCounterfactual:
