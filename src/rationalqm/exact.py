@@ -3,7 +3,7 @@ rationality decisions for cosines of rational-turn angles and for the
 third side of a spherical triangle.
 
 Angles are always carried as fractions of a full turn (phi / 2pi), never as
-float radians: the rationality classification is a statement about the turn
+floats: the rationality classification is a statement about the turn
 fraction, and floats would destroy it.
 """
 
@@ -13,10 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:
-    import mpmath
+from typing import Optional
 
 # Reduced turn-denominators at which cos(phi) is itself rational
 # (phi an exact multiple of 60 or 90 degrees).
@@ -43,8 +40,6 @@ _COS_SQ_BY_DENOMINATOR = {
     d: (1 + _COS_BY_DENOMINATOR[d if d % 2 else d // 2]) / 2
     for d in RATIONAL_COS_SQ_DENOMINATORS
 }
-
-PRECISION_BITS = 200  # working precision of every mpmath cross-check
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
@@ -116,11 +111,6 @@ class RationalAngle:
             return 0
         return 1 if (q < d or q > 3 * d) else -1
 
-    def radians(self) -> mpmath.mpf:
-        import mpmath
-        with mpmath.workprec(PRECISION_BITS):
-            return 2 * mpmath.pi * mpmath.mpf(self.turns.numerator) / self.turns.denominator
-
 
 def _extract_square_factor(n: int) -> tuple[int, int]:
     """Write n = s^2 * n0 with s as large as small-prime factoring finds.
@@ -156,15 +146,6 @@ class Surd:
                 raise ValueError(f"surd radicand must be a positive integer, got {self.d}")
             if math.isqrt(self.d.numerator) ** 2 == self.d.numerator:
                 raise ValueError(f"surd radicand {self.d} is a perfect square")
-
-    def numeric(self) -> mpmath.mpf:
-        import mpmath
-        with mpmath.workprec(PRECISION_BITS):
-            out = mpmath.mpf(self.a.numerator) / self.a.denominator
-            if self.b != 0:
-                out += (mpmath.mpf(self.b.numerator) / self.b.denominator
-                        * mpmath.sqrt(int(self.d)))
-            return out
 
 
 class CosineKind(Enum):
@@ -206,22 +187,6 @@ class ExactCosine:
     @property
     def is_rational(self) -> bool:
         return self.kind is CosineKind.RATIONAL
-
-    def numeric(self) -> mpmath.mpf:
-        import mpmath
-        with mpmath.workprec(PRECISION_BITS):
-            if self.kind is CosineKind.RATIONAL:
-                return mpmath.mpf(self.rational.numerator) / self.rational.denominator
-            if self.kind is CosineKind.IRRATIONAL_SURD:
-                return self.surd.numeric()
-            value = mpmath.cos(self.witness.radians())
-            if self.cross_radicand is not None:
-                r = self.cross_radicand
-                base = self.cross_base or Fraction(0)
-                value = (mpmath.mpf(base.numerator) / base.denominator
-                         + mpmath.sqrt(mpmath.mpf(r.numerator) / r.denominator)
-                         * value)
-            return value
 
     def describe(self) -> str:
         if self.kind is CosineKind.RATIONAL:
@@ -268,7 +233,11 @@ def cos_squared(angle: RationalAngle) -> Optional[Fraction]:
 
 
 def _check_cosine_range(name: str, value: Fraction) -> Fraction:
+    # Exact input only, as for RationalAngle: an int or a Fraction.
     if not isinstance(value, Fraction):
+        if not isinstance(value, int):
+            raise TypeError(
+                f"{name} must be an int or a Fraction, got {type(value).__name__}")
         value = Fraction(value)
     if abs(value.numerator) > value.denominator:
         raise ValueError(f"|{name}| must be <= 1, got {value}")

@@ -11,13 +11,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-from .exact import (PRECISION_BITS, ExactCosine, RationalAngle, TriangleVerdict,
-                    itc_verdict, niven_cosine)
+from .exact import (ExactCosine, RationalAngle, TriangleVerdict, itc_verdict,
+                    niven_cosine)
 from .lattice import PNO, LatticePoint
 from .states import canonical_two_qubit_strings, make_singlet, singlet_params
 
 if TYPE_CHECKING:
     import mpmath
+
+PRECISION_BITS = 200  # of every mpmath evaluation; no other module imports mpmath
 
 # A float is exactly 2^-150, and mpmath compares with floats exactly, so the
 # tolerance needs no mpmath import until a numeric check runs.
@@ -33,9 +35,15 @@ def _mpf(x: CosineValue) -> mpmath.mpf:
     return mpmath.mpf(x)
 
 
+def _radians(angle: RationalAngle) -> mpmath.mpf:
+    import mpmath
+    with mpmath.workprec(PRECISION_BITS):
+        return 2 * mpmath.pi * mpmath.mpf(angle.turns.numerator) / angle.turns.denominator
+
+
 def _cis(angle: RationalAngle) -> mpmath.mpc:
     import mpmath
-    return mpmath.exp(1j * angle.radians())
+    return mpmath.exp(1j * _radians(angle))
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +74,7 @@ def mz_simulate(phi: RationalAngle) -> MZReport:
         e = _cis(phi)
         amp_keep = (1 + e) / 2   # port that reproduces the input at phi = 0
         amp_cross = (1 - e) / 2
-        half = phi.radians() / 2
+        half = _radians(phi) / 2
         residual = max(abs(abs(amp_cross) ** 2 - mpmath.sin(half) ** 2),
                        abs(abs(amp_keep) ** 2 - mpmath.cos(half) ** 2))
         if not residual < RESIDUAL_TOL:
@@ -378,7 +386,10 @@ def _sum_at_uniform_positions(values: Sequence[int], trials: int,
 def _singlet_pair_correlation(relative_turns: Fraction, L: int, trials: int,
                               stream_seed: int, label: str) -> PairStats:
     nominal_cos = math.cos(2 * math.pi * float(relative_turns))
-    snapped_cos = snap_to_lattice(nominal_cos, L).cos_theta
+    # Only a rational cosine can tie in the snap: round it exact, not as a float.
+    cert = niven_cosine(RationalAngle(relative_turns))
+    target = cert.rational if cert.is_rational else nominal_cos
+    snapped_cos = snap_to_lattice(target, L).cos_theta
     top, bottom = canonical_two_qubit_strings(singlet_params(snapped_cos), L)
 
     # A uniform hidden permutation sends a uniformly random source position

@@ -144,10 +144,6 @@ class LatticePoint:
     def cos_theta(self) -> Fraction:
         return Fraction(2 * self.m - self.L, self.L)
 
-    @property
-    def turns(self) -> Fraction:
-        return Fraction(self.n, self.L)
-
 
 def block_string(m: int, L: int) -> Bits:
     """m leading +1s followed by L - m trailing -1s."""

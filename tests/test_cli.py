@@ -171,6 +171,16 @@ class TestSubcommands:
         assert "Bell quantity" in out
         assert "Co(AB)" in out
 
+    def test_mirror_image_bell_settings_agree(self, capsys):
+        # relative turns 1/4 and 3/4 both have cosine 0, a snapping tie at L = 2
+        lines = []
+        for angles in ("0,1/4,1/2", "0,3/4,1/2"):
+            code, out, _ = run(capsys, "bell", "--angles", angles, "--L", "2",
+                               "--trials", "1000", "--seed", "1")
+            assert code == 0
+            lines.append(out.splitlines()[-1])
+        assert lines[0] == lines[1]
+
 
 class TestExitCodes:
     def test_bad_flag(self, capsys):

@@ -23,6 +23,25 @@ def numeric_cos(turns: Fraction) -> mpmath.mpf:
                           / turns.denominator)
 
 
+def _mpf(x: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def certificate_value(cert: ExactCosine) -> mpmath.mpf:
+    """The number a certificate names, evaluated at 200 bits from its fields
+    alone, so the oracle shares no code with the library that built it."""
+    with mpmath.workprec(200):
+        if cert.kind is CosineKind.RATIONAL:
+            return _mpf(cert.rational)
+        if cert.kind is CosineKind.IRRATIONAL_SURD:
+            s = cert.surd
+            return _mpf(s.a) + _mpf(s.b) * mpmath.sqrt(_mpf(s.d))
+        value = numeric_cos(cert.witness.turns)
+        if cert.cross_radicand is None:
+            return value
+        return _mpf(cert.cross_base) + mpmath.sqrt(_mpf(cert.cross_radicand)) * value
+
+
 class TestNivenCosine:
     def test_sixth_turn_is_one_half(self):
         out = niven_cosine(RationalAngle(Fraction(1, 6)))
@@ -58,7 +77,7 @@ class TestNivenCosine:
         out = niven_cosine(angle)
         assert out.is_rational == (angle.denominator in RATIONAL_COS_DENOMINATORS)
         # every classification agrees with a 200-bit evaluation
-        assert abs(out.numeric() - numeric_cos(angle.turns)) < TOL
+        assert abs(certificate_value(out) - numeric_cos(angle.turns)) < TOL
 
     def test_cos_squared_denominators(self):
         for d in range(1, 40):
@@ -146,15 +165,18 @@ class TestSphericalThirdSide:
         assert out.is_rational and out.rational == Fraction(-2, 3)
 
     def test_numeric_oracle_random_inputs(self):
-        # classification value always matches the 200-bit cosine rule
+        # classification value always matches the 200-bit cosine rule; the
+        # first input's radicand keeps the square factor 101^2
         rng = random.Random(20240817)
+        inputs = [(Fraction(0), Fraction(15301, 15302), RationalAngle(Fraction(1, 8)))]
+        for _ in range(10_000):
+            qa, qb = rng.randint(2, 12), rng.randint(2, 12)
+            cos_ab = Fraction(rng.randint(-qa, qa), qa)
+            cos_bc = Fraction(rng.randint(-qb, qb), qb)
+            d = rng.randint(1, 24)
+            inputs.append((cos_ab, cos_bc, RationalAngle(Fraction(rng.randrange(d), d))))
         with mpmath.workprec(200):
-            for _ in range(10_000):
-                qa, qb = rng.randint(2, 12), rng.randint(2, 12)
-                cos_ab = Fraction(rng.randint(-qa, qa), qa)
-                cos_bc = Fraction(rng.randint(-qb, qb), qb)
-                d = rng.randint(1, 24)
-                phi = RationalAngle(Fraction(rng.randrange(d), d))
+            for cos_ab, cos_bc, phi in inputs:
                 out = spherical_third_side(cos_ab, cos_bc, phi)
                 expected = (mpmath.mpf(cos_ab.numerator) / cos_ab.denominator
                             * cos_bc.numerator / cos_bc.denominator)
@@ -162,8 +184,8 @@ class TestSphericalThirdSide:
                                           / cos_ab.denominator) ** 2)
                 sin_bc = mpmath.sqrt(1 - (mpmath.mpf(cos_bc.numerator)
                                           / cos_bc.denominator) ** 2)
-                expected += sin_ab * sin_bc * mpmath.cos(phi.radians())
-                assert abs(out.numeric() - expected) < TOL
+                expected += sin_ab * sin_bc * numeric_cos(phi.turns)
+                assert abs(certificate_value(out) - expected) < TOL
                 if out.kind is CosineKind.IRRATIONAL_SURD:
                     d = out.surd.d.numerator
                     assert out.surd.b != 0 and math.isqrt(d) ** 2 != d
@@ -185,6 +207,23 @@ class TestItcVerdict:
     def test_degenerate_verdict(self):
         v = itc_verdict(Fraction(1), Fraction(1, 3), RationalAngle(Fraction(1, 7)))
         assert v.possible and v.reason == "degenerate"
+
+    def test_radicand_keeps_square_factors_of_large_primes(self):
+        # 73119686694 = 101^2 * 7167894; only primes up to 97 are divided out
+        v = itc_verdict(Fraction(0), Fraction(15301, 15302), RationalAngle(Fraction(1, 8)))
+        assert v.third_side.surd == Surd(Fraction(0), Fraction(1, 33450172),
+                                         Fraction(73119686694))
+
+
+@pytest.mark.parametrize("certify", [itc_verdict, spherical_third_side])
+@pytest.mark.parametrize("cosine", [0.1, Decimal("0.1"), "1/10"],
+                         ids=["float", "Decimal", "str"])
+def test_inexact_side_cosines_rejected(certify, cosine):
+    phi = RationalAngle(Fraction(1, 5))
+    with pytest.raises(TypeError, match="cos_ab"):
+        certify(cosine, Fraction(0), phi)
+    with pytest.raises(TypeError, match="cos_bc"):
+        certify(Fraction(0), cosine, phi)
 
 
 class TestRationalAngle:

@@ -282,6 +282,18 @@ class TestBellHarness:
         assert [p.correlation for p in report.pairs] == [
             total / trials for total in self.GOLDEN_TOTALS[L, seed]]
 
+    @pytest.mark.parametrize("L", [2, 6, 362])
+    def test_mirror_image_settings_snap_alike(self, L):
+        # AB and BC sit at relative turn 3/4 in one run and 1/4 in its
+        # mirror; both cosines are 0, a rounding tie when L = 2 mod 4, which
+        # must go to even and not to the sign of the float's noise
+        one, mirror = (bell_run(Fraction(0), b, Fraction(1, 2), L, 100, 1)
+                       for b in (Fraction(1, 4), Fraction(3, 4)))
+        expected = Fraction(2 * reference_snap(Fraction(0), L) - L, L)
+        for p, q in zip(one.pairs, mirror.pairs):
+            if p.label != "AC":
+                assert p.snapped_cos == q.snapped_cos == expected
+
     def test_deterministic_given_seed(self):
         a = bell_run(Fraction(0), Fraction(1, 6), Fraction(1, 3), 360, 500, 11)
         b = bell_run(Fraction(0), Fraction(1, 6), Fraction(1, 3), 360, 500, 11)

@@ -132,7 +132,6 @@ class TestLatticePoint:
         p = LatticePoint(3, 1, 4)
         assert p.ones == Fraction(3, 4)
         assert p.cos_theta == Fraction(1, 2)
-        assert p.turns == Fraction(1, 4)
 
     def test_pole_longitude_normalised(self):
         assert LatticePoint(0, 3, 8).n == 0

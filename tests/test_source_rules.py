@@ -1,12 +1,14 @@
 """Rules on the source itself: invariants in `src/` raise real exceptions,
-because `python -O` strips `assert` statements, and every public name in
-`src/` is there for the program, not only for its unit tests."""
+because `python -O` strips `assert` statements; every public name, method and
+property in `src/` is there for the program, not only for its unit tests; and
+only `experiments` evaluates numbers with mpmath."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rationalqm"
 
 # Public names that neither `src/` nor the acceptance test reaches, kept as
 # test hooks: the exhaustive cos^2 pin in test_exact_pinned.py calls
@@ -34,8 +36,8 @@ def _used_names(node: ast.AST) -> Counter:
 
 
 def _public_definitions(tree: ast.Module):
-    """(name, node) for each public function, class and assigned name at
-    module level."""
+    """(name, name, node) for each public function, class and assigned name
+    at module level."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -44,13 +46,49 @@ def _public_definitions(tree: ast.Module):
             names = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
             continue
-        yield from ((name, node) for name in names if not name.startswith("_"))
+        yield from ((name, name, node) for name in names if not name.startswith("_"))
+
+
+def _public_members(tree: ast.Module):
+    """("Class.name", name, node) for each public method and property of a
+    module-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            yield from ((f"{cls.name}.{node.name}", node.name, node)
+                        for node in cls.body
+                        if isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_"))
+
+
+def _unreached(definitions) -> set:
+    """Labels of the definitions whose name is used in `src/` only inside the
+    definition itself, and not at all in the acceptance test. Names are
+    matched as names, so a member that shares its name with anything else
+    used in `src/` counts as reached."""
+    trees = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
+    used = sum((_used_names(tree) for tree in trees), Counter())
+    acceptance = _used_names(_parse(ROOT / "tests" / "test_acceptance.py"))
+    return {label for tree in trees for label, name, node in definitions(tree)
+            if used[name] == _used_names(node)[name] and name not in acceptance}
 
 
 def test_public_names_are_reached_outside_the_unit_tests():
-    trees = [_parse(path) for path in sorted((ROOT / "src" / "rationalqm").glob("*.py"))]
-    used = sum((_used_names(tree) for tree in trees), Counter())
-    acceptance = _used_names(_parse(ROOT / "tests" / "test_acceptance.py"))
-    unreached = {name for tree in trees for name, node in _public_definitions(tree)
-                 if used[name] == _used_names(node)[name] and name not in acceptance}
-    assert unreached == TEST_HOOKS
+    assert _unreached(_public_definitions) == TEST_HOOKS
+
+
+def test_public_members_are_reached_outside_the_unit_tests():
+    assert _unreached(_public_members) == set()
+
+
+def _imports_mpmath(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "mpmath" for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "mpmath")
+
+
+def test_only_experiments_imports_mpmath():
+    # ast.walk reaches imports inside functions and TYPE_CHECKING blocks too
+    importers = {path.name for path in sorted(PACKAGE.rglob("*.py"))
+                 if any(map(_imports_mpmath, ast.walk(_parse(path))))}
+    assert importers == {"experiments.py"}
