@@ -50,6 +50,11 @@ CASES = {
                 "--seed", "1"],
     "bell-L3": ["bell", "--angles", "0,1/6,1/3", "--L", "3", "--trials", "1000",
                 "--seed", "1"],
+    "bell-L362-tie": ["bell", "--angles", "0,1/4,1/2", "--L", "362",
+                      "--trials", "20000", "--seed", "5", "--json", "-"],
+    "bell-L1024-niven": ["bell", "--angles", "0,1/5,2/7", "--L", "1024",
+                         "--trials", "17000", "--seed", "3", "--csv", "bell.csv",
+                         "--json", "-"],
     "mz-rational": ["mz", "--turns", "1/4", "--json", "-"],
     "mz-niven": ["mz", "--turns", "1/5", "--json", "-"],
     "delayed-choice-in": ["delayed-choice", "--turns", "1/5", "--mirror", "in",
@@ -74,8 +79,10 @@ CASES = {
 
 # name: (exit code, stdout sha256, stderr sha256, {written file: sha256})
 GOLDEN = {
+    'bell-L1024-niven': (0, '711508b8553b4ddd', '', {'bell.csv': 'aa7021d951c7dd03'}),
     'bell-L2': (0, '402982ed6fde252d', '', {}),
     'bell-L3': (2, '', 'f5679eda53bf2387', {}),
+    'bell-L362-tie': (0, '85ef8f2c85ef5527', '', {}),
     'bell-readme': (0, 'ef55385fa73850a0', '', {'bell.csv': 'ee49f04b5172c110'}),
     'delayed-choice-in': (0, '260efacb8e4bb804', '', {}),
     'delayed-choice-out': (0, 'c2c3e32b239a69d6', '', {}),
