@@ -71,13 +71,13 @@ def build_manifest(args: argparse.Namespace, outputs: List[str]) -> Dict[str, An
 
 
 def emit(args: argparse.Namespace, report: Any, summary_lines: List[str]) -> None:
-    outputs = [str(args.csv)] if getattr(args, "csv", None) else []
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "manifest": build_manifest(args, outputs),
-        "report": to_jsonable(report),
-    }
     if getattr(args, "json", None) is not None:
+        outputs = [str(args.csv)] if getattr(args, "csv", None) else []
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "manifest": build_manifest(args, outputs),
+            "report": to_jsonable(report),
+        }
         text = json.dumps(payload, indent=2, sort_keys=True)
         if args.json == "-":
             print(text)

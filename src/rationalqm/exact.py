@@ -15,16 +15,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-# Reduced turn-denominators at which cos(phi) is itself rational
-# (phi an exact multiple of 60 or 90 degrees).
-RATIONAL_COS_DENOMINATORS = frozenset({1, 2, 3, 4, 6})
-
-# Reduced turn-denominators at which cos^2(phi) is rational; the extra
-# members come from the half-angle identity cos^2(phi) = (1 + cos 2phi)/2.
-RATIONAL_COS_SQ_DENOMINATORS = frozenset({1, 2, 3, 4, 6, 8, 12})
-
-# cos(2pi * n/d) for reduced n/d with d in RATIONAL_COS_DENOMINATORS is
-# independent of n, so a denominator-keyed table suffices.
+# cos(2pi * n/d) for reduced n/d is rational exactly at these d (phi an
+# exact multiple of 60 or 90 degrees), and there it is independent of n, so
+# a denominator-keyed table suffices.
 _COS_BY_DENOMINATOR = {
     1: Fraction(1),
     2: Fraction(-1),
@@ -32,6 +25,13 @@ _COS_BY_DENOMINATOR = {
     4: Fraction(0),
     6: Fraction(1, 2),
 }
+
+# Reduced turn-denominators at which cos(phi) is itself rational.
+RATIONAL_COS_DENOMINATORS = frozenset(_COS_BY_DENOMINATOR)
+
+# Reduced turn-denominators at which cos^2(phi) is rational; the extra
+# members come from the half-angle identity cos^2(phi) = (1 + cos 2phi)/2.
+RATIONAL_COS_SQ_DENOMINATORS = frozenset({1, 2, 3, 4, 6, 8, 12})
 
 # cos^2(2pi * n/d) for reduced n/d with d in RATIONAL_COS_SQ_DENOMINATORS,
 # by the half-angle identity: the doubled angle 2n/d has reduced denominator

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 from .exact import (ExactCosine, RationalAngle, TriangleVerdict, itc_verdict,
                     niven_cosine)
 from .lattice import PNO, LatticePoint
-from .states import canonical_two_qubit_strings, make_singlet, singlet_params
+from .states import make_singlet
 
 if TYPE_CHECKING:
     import mpmath
@@ -338,30 +338,24 @@ def _draw_bits(L: int) -> int:
     return k
 
 
-def _sum_at_uniform_positions(values: Sequence[int], trials: int,
-                              rng: random.Random) -> int:
-    """Return sum(values[rng.randrange(L)] for _ in range(trials)), with
-    L = len(values), drawing exactly the same numbers from `rng`.
+def _singlet_product_sum(L: int, k: int, trials: int,
+                         rng: random.Random) -> int:
+    """Return sum(-1 if k <= rng.randrange(L) < L - k else 1
+    for _ in range(trials)), drawing exactly the same numbers from `rng`.
 
-    randrange(L) redraws getrandbits(k), k = L.bit_length(), while the result
-    is >= L, and getrandbits(k) is one Mersenne Twister word shifted right by
-    32 - k. getrandbits(32 * n) packs the next n words, least significant
+    That interval is where the snapped singlet's strings disagree: at even
+    m = L - 2k their trial product is -1 on [k, L - k) and +1 elsewhere.
+    randrange(L) redraws getrandbits(b), b = L.bit_length(), while the result
+    is >= L, and getrandbits(b) is one Mersenne Twister word shifted right by
+    32 - b. getrandbits(32 * n) packs the next n words, least significant
     first, so a round reads n words as one int and holds each draw in the low
-    k bits of its 32-bit lane. Adding 2^k - c to every lane sets bit k
+    b bits of its 32-bit lane. Adding 2^b - c to every lane sets bit b
     exactly in the lanes whose draw is >= c, so one add, one mask and one
-    bit_count count the lanes below c. With c at each boundary between runs
-    of equal values, and at L, a round costs one count per run. A round
-    draws no more words than there are trials left, so it never reads past
-    the last accepted draw.
+    bit_count count the lanes below c; a round counts below k, L - k and L.
+    A round draws no more words than there are trials left, so it never
+    reads past the last accepted draw.
     """
-    L = len(values)
-    if L < 1:
-        raise ValueError("need at least one value to sample from")
-    k = _draw_bits(L)
-    # Runs of equal values: run j holds run_values[j] on [cuts[j-1], cuts[j]).
-    starts = [i for i in range(1, L) if values[i] != values[i - 1]]
-    run_values = [values[0]] + [values[i] for i in starts]
-    cuts = starts + [L]
+    b = _draw_bits(L)
     total = 0
     lanes = 0
     while trials > 0:
@@ -369,16 +363,13 @@ def _sum_at_uniform_positions(values: Sequence[int], trials: int,
         if n != lanes:
             lanes = n
             ones = ((1 << (32 * n)) - 1) // 0xFFFFFFFF  # 1 in every lane
-            draw_mask = ones * ((1 << k) - 1)
-            carry_mask = ones << k
-            offsets = [ones * ((1 << k) - c) for c in cuts]
-        draws = (rng.getrandbits(32 * n) >> (32 - k)) & draw_mask
-        below = [n - ((draws + off) & carry_mask).bit_count() for off in offsets]
-        accepted = below[-1]
-        previous = 0
-        for value, count in zip(run_values, below):
-            total += value * (count - previous)
-            previous = count
+            draw_mask = ones * ((1 << b) - 1)
+            carry_mask = ones << b
+            offsets = [ones * ((1 << b) - c) for c in (k, L - k, L)]
+        draws = (rng.getrandbits(32 * n) >> (32 - b)) & draw_mask
+        below_k, below_end, accepted = (
+            n - ((draws + off) & carry_mask).bit_count() for off in offsets)
+        total += accepted - 2 * (below_end - below_k)
         trials -= accepted
     return total
 
@@ -389,15 +380,15 @@ def _singlet_pair_correlation(relative_turns: Fraction, L: int, trials: int,
     # Only a rational cosine can tie in the snap: round it exact, not as a float.
     cert = niven_cosine(RationalAngle(relative_turns))
     target = cert.rational if cert.is_rational else nominal_cos
-    snapped_cos = snap_to_lattice(target, L).cos_theta
-    top, bottom = canonical_two_qubit_strings(singlet_params(snapped_cos), L)
+    point = snap_to_lattice(target, L)
+    snapped_cos = point.cos_theta
 
     # A uniform hidden permutation sends a uniformly random source position
     # to the front, and the halving dynamics reads exactly that position on
     # both strings; sampling the position directly draws from the same
     # distribution without materialising the full permutation each trial.
-    products = [a * b for a, b in zip(top, bottom)]
-    total = _sum_at_uniform_positions(products, trials, random.Random(stream_seed))
+    total = _singlet_product_sum(L, (L - point.m) // 2, trials,
+                                 random.Random(stream_seed))
     corr = total / trials
     se = math.sqrt(max(0.0, 1.0 - corr * corr) / trials)
     return PairStats(label=label, relative_turns=relative_turns,
@@ -416,7 +407,7 @@ def bell_run(nominal_a: Fraction, nominal_b: Fraction, nominal_c: Fraction,
     if trials_per_pair < 100:
         raise ValueError(
             f"trials_per_pair = {trials_per_pair} < 100 is statistically meaningless")
-    _draw_bits(L)  # before any L-length string is built
+    _draw_bits(L)  # an L too wide for a lane is reported before the seed
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     labels = [("AB", nominal_a, nominal_b),

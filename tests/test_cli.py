@@ -604,7 +604,9 @@ print(json.dumps({"codes": codes, "loaded_before_mz": loaded_before_mz,
                   "mz_code": mz_code, "mz_out": buf.getvalue(),
                   "quarter": cli.to_jsonable(mpmath.mpf("0.25"))}))
 """
-    env = dict(os.environ, PYTHONPATH=str(src))
+    # prepend src, keeping the caller's path: mpmath may be found only there
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
     result = json.loads(proc.stdout)

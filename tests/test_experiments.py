@@ -1,13 +1,14 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from rationalqm import experiments
+from rationalqm import experiments, states
 from rationalqm.exact import RationalAngle, cos_squared, parse_fraction
-from rationalqm.experiments import (_sum_at_uniform_positions,
+from rationalqm.experiments import (_pair_seed, _singlet_product_sum,
                                     aggregate_directions,
                                     bell_run, delayed_choice,
                                     mz_simulate,
@@ -15,7 +16,8 @@ from rationalqm.experiments import (_sum_at_uniform_positions,
                                     sg_counterfactual, single_trial_outcomes,
                                     snap_to_lattice, uncertainty_check)
 from rationalqm.lattice import PNO
-from rationalqm.states import canonical_two_qubit_strings, make_singlet
+from rationalqm.states import (canonical_two_qubit_strings, make_singlet,
+                               singlet_params)
 
 
 def angle(text):
@@ -239,11 +241,20 @@ class TestBellHarness:
             bell_run(Fraction(0), Fraction(1, 6), Fraction(1, 3), 361, 1000, 1)
 
     def test_checks_draw_width_before_building_strings(self, monkeypatch):
-        # the L-length singlet strings are never built for an L whose draws
-        # do not fit a 31-bit lane, so nothing of size 2^31 is allocated
+        # bell builds nothing of length L: at L = 2^30 it runs in well under
+        # a MiB, and 2^31 is refused because its draws do not fit a lane
         def no_strings(*args):
-            raise AssertionError("singlet strings built before the width check")
-        monkeypatch.setattr(experiments, "canonical_two_qubit_strings", no_strings)
+            raise AssertionError("singlet strings built by the Bell harness")
+        monkeypatch.setattr(experiments, "canonical_two_qubit_strings", no_strings,
+                            raising=False)
+        monkeypatch.setattr(states, "canonical_two_qubit_strings", no_strings)
+        tracemalloc.start()
+        try:
+            bell_run(Fraction(0), Fraction(1, 6), Fraction(1, 3), 2 ** 30, 1000, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
         with pytest.raises(ValueError, match="at most 31"):
             bell_run(Fraction(0), Fraction(1, 6), Fraction(1, 3), 2 ** 31, 100, 1)
 
@@ -281,6 +292,21 @@ class TestBellHarness:
                           L, trials, seed)
         assert [p.correlation for p in report.pairs] == [
             total / trials for total in self.GOLDEN_TOTALS[L, seed]]
+
+    @pytest.mark.parametrize("L", [2, 4, 6, 8, 10, 360, 362, 1024])
+    @pytest.mark.parametrize("angles", ["0,1/6,1/3", "0,1/4,1/2", "0,1/5,2/7"])
+    def test_totals_match_loop_over_singlet_strings(self, L, angles):
+        # each pair's total is the per-trial randrange loop over the
+        # products of the snapped singlet's canonical strings
+        trials, seed = 2 ** 14 + 5, 4
+        report = bell_run(*map(parse_fraction, angles.split(",")), L, trials, seed)
+        for i, p in enumerate(report.pairs):
+            top, bottom = canonical_two_qubit_strings(
+                singlet_params(p.snapped_cos), L)
+            products = [a * b for a, b in zip(top, bottom)]
+            expected = reference_position_sum(products, trials,
+                                              random.Random(_pair_seed(seed, i)))
+            assert p.correlation == expected / trials
 
     @pytest.mark.parametrize("L", [2, 6, 362])
     def test_mirror_image_settings_snap_alike(self, L):
@@ -336,32 +362,19 @@ class TestBellHarness:
 
 
 class TestUniformPositionSum:
-    @pytest.mark.parametrize("L", [2, 3, 4, 256, 360, 361, 1024])
-    @pytest.mark.parametrize("trials", [1, 2 ** 14, 2 ** 14 + 1])
+    @pytest.mark.parametrize("L", [2, 3, 4, 256, 360, 361, 362, 1024])
+    @pytest.mark.parametrize("trials", [1, 2 ** 13, 2 ** 13 + 1, 2 ** 14, 2 ** 14 + 1])
     def test_matches_randrange_loop(self, L, trials):
-        g = random.Random(L)
-        cases = [[g.randrange(-2, 3) for _ in range(L)],
-                 [1 if 3 * i < L else -1 if 3 * i < 2 * L else 1
-                  for i in range(L)]]
-        for values in cases:
-            bulk, loop = random.Random(L * trials), random.Random(L * trials)
-            assert (_sum_at_uniform_positions(values, trials, bulk)
+        for k in sorted({0, 1, L // 3, L // 2}):
+            values = [1] * k + [-1] * (L - 2 * k) + [1] * k
+            bulk, loop = random.Random(L * trials + k), random.Random(L * trials + k)
+            assert (_singlet_product_sum(L, k, trials, bulk)
                     == reference_position_sum(values, trials, loop))
             assert bulk.getstate() == loop.getstate()
 
-    def test_odd_L_golden(self):
-        # the reference loop gives 576 here and leaves the stream so that
-        # the next random() is 0.3273901190152425
-        values = [(-1) ** (i // 7) * (1 + i % 3) for i in range(361)]
-        rng = random.Random(2024)
-        assert _sum_at_uniform_positions(values, 2 ** 14 + 1, rng) == 576
-        assert rng.random() == 0.3273901190152425
-
     def test_rejects_draws_wider_than_a_lane(self):
-        with pytest.raises(ValueError):
-            _sum_at_uniform_positions(range(2 ** 31), 1, random.Random(0))
-        with pytest.raises(ValueError):
-            _sum_at_uniform_positions([], 1, random.Random(0))
+        with pytest.raises(ValueError, match="at most 31"):
+            _singlet_product_sum(2 ** 31, 0, 1, random.Random(0))
 
 
 class TestBellSum:
