@@ -55,6 +55,8 @@ CASES = {
     "bell-L1024-niven": ["bell", "--angles", "0,1/5,2/7", "--L", "1024",
                          "--trials", "17000", "--seed", "3", "--csv", "bell.csv",
                          "--json", "-"],
+    "bell-L2147483646": ["bell", "--angles", "0,1/6,1/3", "--L", "2147483646",
+                         "--trials", "1000", "--seed", "9", "--json", "-"],
     "mz-rational": ["mz", "--turns", "1/4", "--json", "-"],
     "mz-niven": ["mz", "--turns", "1/5", "--json", "-"],
     "delayed-choice-in": ["delayed-choice", "--turns", "1/5", "--mirror", "in",
@@ -80,6 +82,7 @@ CASES = {
 # name: (exit code, stdout sha256, stderr sha256, {written file: sha256})
 GOLDEN = {
     'bell-L1024-niven': (0, '711508b8553b4ddd', '', {'bell.csv': 'aa7021d951c7dd03'}),
+    'bell-L2147483646': (0, '5974d0ab998eb5c7', '', {}),
     'bell-L2': (0, '402982ed6fde252d', '', {}),
     'bell-L3': (2, '', 'f5679eda53bf2387', {}),
     'bell-L362-tie': (0, '85ef8f2c85ef5527', '', {}),

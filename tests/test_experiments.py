@@ -30,6 +30,13 @@ def reference_position_sum(values, trials, rng):
     return sum(values[rng.randrange(L)] for _ in range(trials))
 
 
+def reference_interval_sum(L, k, trials, rng):
+    """The same loop over the interval [k, L - k) where the snapped
+    singlet's products are -1; it builds no length-L list, so it reaches
+    the widest lanes."""
+    return sum(-1 if k <= rng.randrange(L) < L - k else 1 for _ in range(trials))
+
+
 class TestMachZehnder:
     def test_quarter_turn(self):
         report = mz_simulate(angle("1/4"))
@@ -370,6 +377,23 @@ class TestUniformPositionSum:
             bulk, loop = random.Random(L * trials + k), random.Random(L * trials + k)
             assert (_singlet_product_sum(L, k, trials, bulk)
                     == reference_position_sum(values, trials, loop))
+            assert bulk.getstate() == loop.getstate()
+
+    M = experiments._MAX_LANES
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 2 ** 16 + 1, 2 ** 30 - 1, 2 ** 30,
+                                   2 ** 30 + 1, 2 ** 31 - 2, 2 ** 31 - 1])
+    @pytest.mark.parametrize("trials", [1, 100, M - 1, M, M + 1, 2 * M + 1],
+                             ids=["1", "100", "M-1", "M", "M+1", "2M+1"])
+    def test_matches_interval_loop_at_every_width(self, L, trials):
+        # draws of 1 to 31 bits, with trials at the edges of a round of
+        # M lanes; totals and the stream's end state both match
+        for k in sorted({0, 1, L // 3, L // 2}):
+            if 2 * k > L:
+                continue
+            bulk, loop = random.Random(L + trials + k), random.Random(L + trials + k)
+            assert (_singlet_product_sum(L, k, trials, bulk)
+                    == reference_interval_sum(L, k, trials, loop))
             assert bulk.getstate() == loop.getstate()
 
     def test_rejects_draws_wider_than_a_lane(self):
