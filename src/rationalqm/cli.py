@@ -157,6 +157,8 @@ def cmd_itc(args) -> Tuple[Any, List[str]]:
 def cmd_scan_exceptions(args) -> Tuple[Any, List[str]]:
     """Triangles with side cosines p/q in (-1, 1), 2 <= q <= --max-den, and an
     angle from --turns whose third side is rational yet not their product."""
+    if args.max_den < 2:
+        raise ValueError(f"--max-den must be >= 2, got {args.max_den}")
     sides = [c for q in range(2, args.max_den + 1) for p in range(1 - q, q)
              if (c := Fraction(p, q)).denominator == q]
     found = [{"cos_ab": a, "cos_bc": b, "turns": phi.turns, "third_side": third.rational}

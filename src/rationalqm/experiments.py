@@ -323,11 +323,10 @@ def _pair_seed(seed: int, index: int) -> int:
 
 
 # Most 32-bit words drawn per round; bounds the big ints a round holds. At
-# 2^14 words glibc's malloc gave a pair's freed ints back to the system and
-# faulted them in again for the next pair (about 270 minor page faults per
-# bell op, unless an earlier import had moved its thresholds); at 2^13 words
-# none showed, and a trial costs no more.
-_MAX_LANES = 1 << 13
+# 2^14 glibc's malloc gave a pair's freed ints back and faulted them in again:
+# 290-730 minor page faults per README-setting bell op (ru_minflt), 0.03 at
+# 2^12. A pair runs as fast at 2^12 as at 2^11, and faster than at 2^13.
+_MAX_LANES = 1 << 12
 
 
 def _draw_bits(L: int) -> int:
@@ -346,30 +345,29 @@ def _singlet_product_sum(L: int, k: int, trials: int,
     That interval is where the snapped singlet's strings disagree: at even
     m = L - 2k their trial product is -1 on [k, L - k) and +1 elsewhere.
     randrange(L) redraws getrandbits(b), b = L.bit_length(), while the result
-    is >= L, and getrandbits(b) is one Mersenne Twister word shifted right by
-    32 - b. getrandbits(32 * n) packs the next n words, least significant
-    first, so a round reads n words as one int and holds each draw in the low
-    b bits of its 32-bit lane. Adding 2^b - c to every lane sets bit b
-    exactly in the lanes whose draw is >= c, so one add, one mask and one
-    bit_count count the lanes below c; a round counts below k, L - k and L.
-    A round draws no more words than there are trials left, so it never
-    reads past the last accepted draw.
+    is >= L, and getrandbits(b) is the top b bits of one Mersenne Twister
+    word. getrandbits(32 * n) packs the next n words, least significant
+    first, and a round masks each 32-bit lane to its draw in place. Adding
+    (2^b - c) << (32 - b) to every lane carries into the next lane's bit 0,
+    cleared by the mask as b <= 31, exactly where the draw is >= c. So the
+    carries count the draws below L, and the carries of the XOR of the sums
+    for k and L - k those in [k, L - k). No round draws past the last trial.
     """
     b = _draw_bits(L)
-    total = 0
-    lanes = 0
+    total = lanes = 0
     while trials > 0:
         n = min(trials, _MAX_LANES)
         if n != lanes:
             lanes = n
-            ones = ((1 << (32 * n)) - 1) // 0xFFFFFFFF  # 1 in every lane
-            draw_mask = ones * ((1 << b) - 1)
-            carry_mask = ones << b
-            offsets = [ones * ((1 << b) - c) for c in (k, L - k, L)]
-        draws = (rng.getrandbits(32 * n) >> (32 - b)) & draw_mask
-        below_k, below_end, accepted = (
-            n - ((draws + off) & carry_mask).bit_count() for off in offsets)
-        total += accepted - 2 * (below_end - below_k)
+            ones = int.from_bytes(b"\1\0\0\0" * n, "little")  # 1 in every lane
+            draw_mask = ones * ((1 << b) - 1) << (32 - b)
+            carry_mask = ones << 32
+            off_k, off_end, off_L = (ones * ((1 << b) - c) << (32 - b)
+                                     for c in (k, L - k, L))
+        words = rng.getrandbits(32 * n) & draw_mask
+        accepted = n - ((words + off_L) & carry_mask).bit_count()
+        inside = (((words + off_k) ^ (words + off_end)) & carry_mask).bit_count()
+        total += accepted - 2 * inside
         trials -= accepted
     return total
 

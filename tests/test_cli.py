@@ -396,6 +396,14 @@ class TestScanExceptions:
         assert code == 2 and out == ""
         assert "--turns" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("max_den", ["1", "0", "-3"])
+    def test_max_den_below_2_exits_2(self, capsys, max_den):
+        # no side cosine p/q with q >= 2 exists there, so "0 triangles
+        # found" would be an answer to a scan that never ran
+        code, out, err = run(capsys, "scan-exceptions", "--max-den", max_den)
+        assert code == 2 and out == ""
+        assert err == f"error: --max-den must be >= 2, got {max_den}\n"
+
     def test_negative_turns_is_a_value(self, capsys):
         # -1/8 of a turn is the angle 7/8
         code, out, _ = run(capsys, "scan-exceptions", "--max-den", "5",
