@@ -23,8 +23,7 @@ from . import __version__
 from .exact import (RationalAngle, itc_verdict, niven_cosine, parse_fraction,
                     parse_integer, spherical_third_side)
 from .experiments import (bell_run, delayed_choice, mz_simulate,
-                          position_momentum_aggregate, sg_counterfactual,
-                          uncertainty_check)
+                          position_momentum_aggregate, uncertainty_check)
 from .lattice import (PNO, LatticePoint, canonical_bitstring, iter_lattice,
                       lattice_size, lattice_to_csv)
 from .reduction import measure
@@ -32,29 +31,20 @@ from .states import LatticeUnrealisableError, make_qubit, make_singlet
 
 SCHEMA_VERSION = 1
 
-# Exact types, so that subclasses such as str-valued Enums are converted.
-_JSON_LEAVES = frozenset((str, int, float, bool, type(None)))
-
 
 def to_jsonable(obj: Any) -> Any:
-    """Recursively convert reports to JSON-friendly values; fractions become
-    'p/q' strings so exactness survives the round trip."""
-    if type(obj) in _JSON_LEAVES:
-        return obj
+    """The `default=` hook of every report's `json.dumps`: converts the four
+    kinds of value json cannot encode. Fractions become 'p/q' strings so
+    exactness survives the round trip."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, enum.Enum):
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if hasattr(obj, "_mpf_"):  # an mpmath.mpf, told without importing mpmath
         return float(obj)
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
 
 
 def build_manifest(args: argparse.Namespace, outputs: List[str]) -> Dict[str, Any]:
@@ -62,7 +52,7 @@ def build_manifest(args: argparse.Namespace, outputs: List[str]) -> Dict[str, An
               if k not in ("func", "json", "csv") and v is not None}
     return {
         "command": args.command,
-        "config": to_jsonable(config),
+        "config": config,
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -76,9 +66,9 @@ def emit(args: argparse.Namespace, report: Any, summary_lines: List[str]) -> Non
         payload = {
             "schema_version": SCHEMA_VERSION,
             "manifest": build_manifest(args, outputs),
-            "report": to_jsonable(report),
+            "report": report,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True)
+        text = json.dumps(payload, indent=2, sort_keys=True, default=to_jsonable)
         if args.json == "-":
             print(text)
         else:
@@ -134,7 +124,7 @@ def cmd_sphere(args) -> Tuple[Any, List[str]]:
     if args.L <= 8:  # every point is listed only on small lattices
         points = [(p, canonical_bitstring(p)) for p in iter_lattice(args.L)]
         report["rows"] = [{"m": p.m, "n": p.n, "cos_theta": p.cos_theta,
-                           "bits": list(bits)} for p, bits in points]
+                           "bits": bits} for p, bits in points]
         lines += [f"  m={p.m:>2} n={p.n:>2} cos_theta={p.cos_theta}  {_signs(bits)}"
                   for p, bits in points]
     if args.csv:
@@ -200,7 +190,7 @@ def cmd_measure(args) -> Tuple[Any, List[str]]:
     steps = [f"{plus[:w]}.-{minus[:w]}." for w in range(len(plus), 0, -1)]
     report = {
         "m": point.m, "n": point.n, "L": point.L, "seed": args.seed,
-        "string": list(state.string),
+        "string": state.string,
         "trace": steps,
         "outcome": trace.outcome,
         "step_count": trace.step_count,
@@ -240,11 +230,13 @@ def cmd_uncertainty(args) -> Tuple[Any, List[str]]:
 
 
 def cmd_sg(args) -> Tuple[Any, List[str]]:
-    report = sg_counterfactual(args.cos_ab, args.cos_bc, args.phi_b)
-    return report, [f"swapped-order world definable: {report.definable}"
-                    + (" (degenerate)" if report.degenerate else ""),
-                    f"third side: {report.verdict.third_side.describe()}",
-                    f"reason: {report.verdict.reason}"]
+    verdict = itc_verdict(args.cos_ab, args.cos_bc, args.phi_b)
+    report = {"cos_ab": args.cos_ab, "cos_bc": args.cos_bc, "phi_b": args.phi_b,
+              "verdict": verdict}
+    return report, [f"swapped-order world definable: {verdict.possible}"
+                    + (" (degenerate)" if verdict.reason == "degenerate" else ""),
+                    f"third side: {verdict.third_side.describe()}",
+                    f"reason: {verdict.reason}"]
 
 
 def cmd_bell(args) -> Tuple[Any, List[str]]:

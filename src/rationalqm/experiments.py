@@ -1,6 +1,5 @@
 """Physics demonstrations on the discretised sphere: interferometer
-definability, delayed choice, uncertainty relations, counterfactual
-non-commutativity, and the Bell harness.
+definability, delayed choice, uncertainty relations and the Bell harness.
 """
 
 from __future__ import annotations
@@ -9,10 +8,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
-from .exact import (ExactCosine, RationalAngle, TriangleVerdict, itc_verdict,
-                    niven_cosine)
+from .exact import ExactCosine, RationalAngle, niven_cosine
 from .lattice import PNO, LatticePoint
 from .states import make_singlet
 
@@ -195,15 +194,14 @@ class AggregateReport:
     degenerate: bool             # every sample sits on the equality case
 
 
-def aggregate_directions(directions: Sequence[Tuple[float, float]],
+def aggregate_directions(directions: Iterable[Tuple[float, float]],
                          seed: Optional[int] = None) -> AggregateReport:
-    """Aggregate the squared-deviation bound over explicit (cos_theta,
-    phi_radians) direction samples."""
-    if not directions:
-        raise ValueError("need at least one direction")
+    """Aggregate the squared-deviation bound over (cos_theta, phi_radians)
+    direction samples, read once from any iterable."""
+    n = 0
     sum_sp = sum_spp = sum_abs = 0.0
     degenerate = True
-    for c, phi in directions:
+    for n, (c, phi) in enumerate(directions, 1):
         s = math.sqrt(max(0.0, 1.0 - c * c))
         cp = s * math.cos(phi)
         cpp = s * math.sin(phi)
@@ -214,7 +212,8 @@ def aggregate_directions(directions: Sequence[Tuple[float, float]],
         sum_abs += abs(c)
         if abs(sp * spp - c * c) > 1e-12:
             degenerate = False
-    n = len(directions)
+    if n == 0:
+        raise ValueError("need at least one direction")
     bound = math.sqrt(sum_sp / n) * math.sqrt(sum_spp / n)
     mean_abs = sum_abs / n
     return AggregateReport(samples=n, seed=seed, bound=bound,
@@ -230,8 +229,8 @@ def position_momentum_aggregate(M: int, seed: int) -> AggregateReport:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)
-    directions = [(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2 * math.pi))
-                  for _ in range(M)]
+    directions = ((rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2 * math.pi))
+                  for _ in range(M))
     return aggregate_directions(directions, seed=seed)
 
 
@@ -253,35 +252,6 @@ def snap_to_lattice(target_cos: Union[Fraction, float], L: int) -> LatticePoint:
     if abs(target) > 1:
         raise ValueError(f"|target_cos| must be <= 1, got {target_cos}")
     return LatticePoint(2 * round((target + 1) * L / 4), 0, L)
-
-
-# ---------------------------------------------------------------------------
-# Stern-Gerlach counterfactual
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SGReport:
-    cos_ab: Fraction
-    cos_bc: Fraction
-    phi_b: RationalAngle
-    verdict: TriangleVerdict
-
-    @property
-    def definable(self) -> bool:
-        return self.verdict.possible
-
-    @property
-    def degenerate(self) -> bool:
-        return self.verdict.reason == "degenerate"
-
-
-def sg_counterfactual(cos_ab: Fraction, cos_bc: Fraction,
-                      phi_b: RationalAngle) -> SGReport:
-    """Whether the order-swapped run of two sequential analysers is
-    simultaneously definable with the real one: needs the third relative
-    cosine rational, decided by the impossible-triangle check."""
-    verdict = itc_verdict(cos_ab, cos_bc, phi_b)
-    return SGReport(cos_ab=cos_ab, cos_bc=cos_bc, phi_b=phi_b, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------

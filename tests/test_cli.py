@@ -484,20 +484,29 @@ class TestConfigFile:
         assert "seed 12" in out
 
 
+def encode(obj):
+    """A value as `emit` encodes it, decoded back."""
+    return json.loads(json.dumps(obj, default=to_jsonable))
+
+
 class TestToJsonable:
     def test_fractions_and_tuples(self):
-        assert to_jsonable({"x": Fraction(2, 4), "y": (1, 2)}) == {
+        assert encode({"x": Fraction(2, 4), "y": (1, 2)}) == {
             "x": "1/2", "y": [1, 2]}
 
     def test_leaves(self):
         class Kind(str, enum.Enum):
             RATIONAL = "rational"
 
-        out = to_jsonable([True, None, Kind.RATIONAL, Fraction(-3, 6),
-                           mpmath.mpf(0.25), 7, 1.5, "s"])
+        out = encode([True, None, Kind.RATIONAL, Fraction(-3, 6),
+                      mpmath.mpf(0.25), 7, 1.5, "s"])
         assert out == [True, None, "rational", "-1/2", 0.25, 7, 1.5, "s"]
         assert [type(v) for v in out] == [bool, type(None), str, str, float,
                                          int, float, str]
+
+    def test_unsupported_type_raises(self):
+        with pytest.raises(TypeError, match="set is not JSON serialisable"):
+            json.dumps({"x": {1, 2}}, default=to_jsonable)
 
 
 class TestNegativeFractionValues:
@@ -582,8 +591,15 @@ class TestParserReuse:
             assert got == run_masked(capsys, *argv), argv
 
 
-def test_plain_commands_do_not_import_mpmath():
+def src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, keeping
+    the caller's path: mpmath may be found only there."""
     src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_plain_commands_do_not_import_mpmath():
     script = """
 import contextlib, io, json, sys
 import rationalqm
@@ -612,11 +628,8 @@ print(json.dumps({"codes": codes, "loaded_before_mz": loaded_before_mz,
                   "mz_code": mz_code, "mz_out": buf.getvalue(),
                   "quarter": cli.to_jsonable(mpmath.mpf("0.25"))}))
 """
-    # prepend src, keeping the caller's path: mpmath may be found only there
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=60, check=True)
+                          text=True, env=src_env(), timeout=60, check=True)
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * 10
     assert result["loaded_before_mz"] is False
@@ -635,3 +648,29 @@ print(json.dumps({"codes": codes, "loaded_before_mz": loaded_before_mz,
         "phi": {"turns": "1/5"},
     }
     assert result["quarter"] == 0.25
+
+
+class TestModuleEntryPoint:
+    """`python -m rationalqm` passes main's exit code to the shell."""
+
+    @staticmethod
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "rationalqm", *argv],
+                              capture_output=True, text=True, timeout=60,
+                              env=src_env())
+
+    def test_success_prints_what_main_prints(self, capsys):
+        proc = self.run_module("niven", "--turns", "1/6")
+        code, out, _ = run(capsys, "niven", "--turns", "1/6")
+        assert proc.returncode == code == 0
+        assert proc.stdout == out and out
+        assert proc.stderr == ""
+
+    @pytest.mark.parametrize("argv,code", [
+        (("sphere", "--L", "0"), 2),
+        (("state", "--singlet-cos", "1/3", "--L", "8", "--seed", "1"), 3),
+    ])
+    def test_failure_exit_code(self, argv, code):
+        proc = self.run_module(*argv)
+        assert proc.returncode == code
+        assert proc.stderr and "Traceback" not in proc.stderr

@@ -7,13 +7,14 @@ import mpmath
 import pytest
 
 from rationalqm import experiments, states
-from rationalqm.exact import RationalAngle, cos_squared, parse_fraction
+from rationalqm.exact import (RationalAngle, cos_squared, itc_verdict,
+                             parse_fraction)
 from rationalqm.experiments import (_pair_seed, _singlet_product_sum,
                                     aggregate_directions,
                                     bell_run, delayed_choice,
                                     mz_simulate,
                                     position_momentum_aggregate,
-                                    sg_counterfactual, single_trial_outcomes,
+                                    single_trial_outcomes,
                                     snap_to_lattice, uncertainty_check)
 from rationalqm.lattice import PNO
 from rationalqm.states import (canonical_two_qubit_strings, make_singlet,
@@ -165,8 +166,29 @@ class TestAggregate:
         assert report.bound == pytest.approx(1.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least one direction"):
             aggregate_directions([])
+        with pytest.raises(ValueError, match="need at least one direction"):
+            aggregate_directions(iter(()))
+
+    def test_iterator_matches_list(self):
+        rng = random.Random(3)
+        directions = [(rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2 * math.pi))
+                      for _ in range(500)]
+        assert (aggregate_directions(iter(directions), seed=3)
+                == aggregate_directions(directions, seed=3))
+
+    def test_samples_not_held_in_memory(self):
+        # the M directions stream through the sums: a list of 20,000
+        # (cos, phi) tuples alone would take over 2 MiB
+        tracemalloc.start()
+        try:
+            report = position_momentum_aggregate(20_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.samples == 20_000
+        assert peak < 256 * 1024
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
@@ -218,24 +240,27 @@ class TestSnapping:
 
 
 class TestSternGerlach:
+    """The swapped-order Stern-Gerlach world is definable exactly when the
+    impossible-triangle check finds a rational third cosine."""
+
     def test_generic_settings_not_definable(self):
-        report = sg_counterfactual(Fraction(3, 5), Fraction(4, 5), angle("179/360"))
-        assert not report.definable
+        verdict = itc_verdict(Fraction(3, 5), Fraction(4, 5), angle("179/360"))
+        assert not verdict.possible
 
     def test_exceptional_settings_definable(self):
-        report = sg_counterfactual(Fraction(3, 5), Fraction(3, 5), angle("1/2"))
-        assert report.definable
-        assert report.verdict.third_side.rational == Fraction(-7, 25)
+        verdict = itc_verdict(Fraction(3, 5), Fraction(3, 5), angle("1/2"))
+        assert verdict.possible
+        assert verdict.third_side.rational == Fraction(-7, 25)
 
     def test_degenerate(self):
-        report = sg_counterfactual(Fraction(1), Fraction(1, 3), angle("1/7"))
-        assert report.definable and report.degenerate
+        verdict = itc_verdict(Fraction(1), Fraction(1, 3), angle("1/7"))
+        assert verdict.possible and verdict.reason == "degenerate"
 
     def test_cosines_range_checked_by_name(self):
         with pytest.raises(ValueError, match=r"\|cos_ab\| must be <= 1"):
-            sg_counterfactual(Fraction(2), Fraction(1, 3), angle("1/5"))
+            itc_verdict(Fraction(2), Fraction(1, 3), angle("1/5"))
         with pytest.raises(ValueError, match=r"\|cos_bc\| must be <= 1"):
-            sg_counterfactual(Fraction(1, 2), Fraction(-3, 2), angle("1/5"))
+            itc_verdict(Fraction(1, 2), Fraction(-3, 2), angle("1/5"))
 
 
 class TestBellHarness:
@@ -406,13 +431,13 @@ class TestBellSum:
     Stern-Gerlach counterfactual third setting is."""
 
     def test_generic_settings_undefined(self):
-        report = sg_counterfactual(Fraction(3, 5), Fraction(4, 5), angle("181/360"))
-        assert not report.definable and not report.degenerate
+        verdict = itc_verdict(Fraction(3, 5), Fraction(4, 5), angle("181/360"))
+        assert not verdict.possible and verdict.reason != "degenerate"
 
     def test_exceptional_settings_defined(self):
-        report = sg_counterfactual(Fraction(3, 5), Fraction(3, 5), angle("1/2"))
-        assert report.definable and not report.degenerate
+        verdict = itc_verdict(Fraction(3, 5), Fraction(3, 5), angle("1/2"))
+        assert verdict.possible and verdict.reason != "degenerate"
 
     def test_degenerate_settings(self):
-        report = sg_counterfactual(Fraction(1), Fraction(0), angle("1/5"))
-        assert report.definable and report.degenerate
+        verdict = itc_verdict(Fraction(1), Fraction(0), angle("1/5"))
+        assert verdict.possible and verdict.reason == "degenerate"

@@ -106,7 +106,7 @@ class TestQubitState:
 
     def test_json_round_trip(self):
         q = make_qubit(LatticePoint(2, 1, 4), HiddenPermutation.from_seed(7, 4))
-        record = json.loads(json.dumps(to_jsonable(q)))
+        record = json.loads(json.dumps(q, default=to_jsonable))
         assert record["point"] == {"m": 2, "n": 1, "L": 4}
         assert record["xi"]["seed"] == 7 and record["xi"]["signs"] is None
         assert tuple(record["string"]) == q.string
@@ -189,7 +189,7 @@ class TestTwoQubit:
         params = TwoQubitParams(top_ones=Fraction(1, 2),
                                 cond_plus=Fraction(1), cond_minus=Fraction(0))
         state = make_two_qubit(params, 4, HiddenPermutation.from_seed(11, 4))
-        record = json.loads(json.dumps(to_jsonable(state)))
+        record = json.loads(json.dumps(state, default=to_jsonable))
         assert record["params"]["top_ones"] == "1/2"
         assert record["xi"]["seed"] == 11
         assert len(record["top"]) == len(record["bottom"]) == 4
