@@ -22,12 +22,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from . import __version__
 from .exact import (RationalAngle, itc_verdict, niven_cosine, parse_fraction,
                     parse_integer, spherical_third_side)
-from .experiments import (bell_run, delayed_choice, mz_simulate,
-                          position_momentum_aggregate, uncertainty_check)
-from .lattice import (PNO, LatticePoint, canonical_bitstring, iter_lattice,
-                      lattice_size, lattice_to_csv)
-from .reduction import measure
-from .states import LatticeUnrealisableError, make_qubit, make_singlet
 
 SCHEMA_VERSION = 1
 
@@ -115,6 +109,8 @@ def _signs(bits) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_sphere(args) -> Tuple[Any, List[str]]:
+    from .lattice import (canonical_bitstring, iter_lattice, lattice_size,
+                          lattice_to_csv)
     count = lattice_size(args.L)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -163,6 +159,8 @@ def cmd_scan_exceptions(args) -> Tuple[Any, List[str]]:
 
 
 def cmd_state(args) -> Tuple[Any, List[str]]:
+    from .lattice import PNO, LatticePoint
+    from .states import make_qubit, make_singlet
     xi = PNO.from_seed(args.seed, args.L)
     if args.singlet_cos is not None:
         state = make_singlet(args.singlet_cos, args.L, xi)
@@ -181,6 +179,9 @@ def cmd_state(args) -> Tuple[Any, List[str]]:
 
 
 def cmd_measure(args) -> Tuple[Any, List[str]]:
+    from .lattice import PNO, LatticePoint
+    from .reduction import measure
+    from .states import make_qubit
     point = LatticePoint(args.m, args.n, args.L)
     state = make_qubit(point, PNO.from_seed(args.seed, args.L))
     trace = measure(state.string)
@@ -201,6 +202,7 @@ def cmd_measure(args) -> Tuple[Any, List[str]]:
 
 
 def cmd_mz(args) -> Tuple[Any, List[str]]:
+    from .experiments import mz_simulate
     report = mz_simulate(args.turns)
     p_sin, p_cos = report.output_probabilities
     return report, [f"inside definable: {report.inside_definable} "
@@ -211,12 +213,14 @@ def cmd_mz(args) -> Tuple[Any, List[str]]:
 
 
 def cmd_delayed_choice(args) -> Tuple[Any, List[str]]:
+    from .experiments import delayed_choice
     report = delayed_choice(args.turns, args.mirror == "in")
     return report, [f"configuration demands: {report.demanded}",
                     f"satisfied: {report.satisfied} ({report.certificate.describe()})"]
 
 
 def cmd_uncertainty(args) -> Tuple[Any, List[str]]:
+    from .experiments import position_momentum_aggregate, uncertainty_check
     if args.cosines is not None:
         report = uncertainty_check([parse_fraction(part)
                                     for part in args.cosines.split(",")])
@@ -240,6 +244,7 @@ def cmd_sg(args) -> Tuple[Any, List[str]]:
 
 
 def cmd_bell(args) -> Tuple[Any, List[str]]:
+    from .experiments import bell_run
     overrides = parse_config_file(args.config) if args.config else {}
     for key, value in overrides.items():  # a flag given on the command line wins
         if getattr(args, key) is None:
@@ -404,12 +409,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         report, lines = args.func(args)
         emit(args, report, lines)
-    except LatticeUnrealisableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
     return 0
 
 

@@ -12,8 +12,7 @@ from typing import (TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple,
                     Union)
 
 from .exact import ExactCosine, RationalAngle, niven_cosine
-from .lattice import PNO, LatticePoint
-from .states import make_singlet
+from .lattice import LatticePoint
 
 if TYPE_CHECKING:
     import mpmath
@@ -400,7 +399,9 @@ def single_trial_outcomes(cos_theta_ab: Fraction, L: int,
     """Full-machinery reference path for one Bell trial: build the singlet,
     permute both strings with the same hidden permutation, and run the
     halving measurement on each."""
+    from .lattice import PNO
     from .reduction import measure
+    from .states import make_singlet
     xi = PNO.from_seed(xi_seed, L)
     state = make_singlet(cos_theta_ab, L, xi)
     return measure(state.top).outcome, measure(state.bottom).outcome

@@ -23,6 +23,8 @@ HiddenPermutation = PNO
 class LatticeUnrealisableError(ValueError):
     """Requested parameters do not land on the length-L lattice."""
 
+    exit_code = 3  # the CLI's exit status for this error
+
 
 @dataclass(frozen=True)
 class QubitState:

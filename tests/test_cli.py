@@ -183,6 +183,14 @@ class TestSubcommands:
 
 
 class TestExitCodes:
+    def test_plain_value_error_exits_2(self, capsys, monkeypatch):
+        def fail(args):
+            raise ValueError("plain failure")
+        monkeypatch.setattr(cli, "cmd_niven", fail)
+        monkeypatch.setattr(cli, "_parser", None)  # rebuilt with the patched command
+        code, out, err = run(capsys, "niven", "--turns", "1/6")
+        assert (code, out, err) == (2, "", "error: plain failure\n")
+
     def test_bad_flag(self, capsys):
         code, _, _ = run(capsys, "niven", "--nope")
         assert code == 2
@@ -648,6 +656,58 @@ print(json.dumps({"codes": codes, "loaded_before_mz": loaded_before_mz,
         "phi": {"turns": "1/5"},
     }
     assert result["quarter"] == 0.25
+
+
+LOADING_SCRIPT = """
+import contextlib, io, json, sys
+import rationalqm.cli as cli
+
+def loaded():
+    return sorted(name.split(".", 1)[1] for name in sys.modules
+                  if name.startswith("rationalqm."))
+
+cli.build_parser()
+steps = [["build_parser", 0, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([argv[0], code, loaded()])
+print(json.dumps(steps))
+"""
+
+PARSING = ["cli", "exact"]
+EXPERIMENTS = ["cli", "exact", "experiments", "lattice"]
+
+
+@pytest.mark.parametrize("argvs,expected", [
+    # Each command's modules include the previous one's, so a single process
+    # shows what each command adds.
+    ([["niven", "--turns", "1/6", "--json", "-"],
+      ["itc", "--cos-ab", "3/5", "--cos-bc", "4/5", "--turns", "1/8"],
+      ["sg", "--cos-ab", "3/5", "--cos-bc", "3/5", "--phi-b", "1/2"],
+      ["scan-exceptions", "--max-den", "4"],
+      ["sphere", "--L", "4", "--json", "-"],
+      ["state", "--singlet-cos", "1/2", "--L", "8", "--seed", "1"],
+      ["measure", "--m", "2", "--n", "1", "--L", "4", "--seed", "0"]],
+     [PARSING] * 5 + [PARSING + ["lattice"], PARSING + ["lattice", "states"],
+                      PARSING + ["lattice", "reduction", "states"]]),
+    ([["bell", "--angles", "0,1/6,1/3", "--L", "360", "--trials", "500",
+       "--seed", "7", "--json", "-"]], [PARSING, EXPERIMENTS]),
+    ([["mz", "--turns", "1/5"]], [PARSING, EXPERIMENTS]),
+    ([["uncertainty", "--samples", "100", "--seed", "1"]], [PARSING, EXPERIMENTS]),
+    ([["delayed-choice", "--turns", "1/5", "--mirror", "in"]], [PARSING, EXPERIMENTS]),
+], ids=["exact-lattice-states-reduction", "bell", "mz", "uncertainty",
+        "delayed-choice"])
+def test_commands_load_only_their_modules(argvs, expected):
+    """Parsing loads only `exact`; each command loads the package modules it
+    calls, in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", LOADING_SCRIPT, json.dumps(argvs)],
+                          capture_output=True, text=True, env=src_env(),
+                          timeout=60, check=True)
+    steps = json.loads(proc.stdout)
+    assert [name for name, _, _ in steps] == ["build_parser"] + [a[0] for a in argvs]
+    assert [code for _, code, _ in steps] == [0] * len(steps)
+    assert [modules for _, _, modules in steps] == expected
 
 
 class TestModuleEntryPoint:
