@@ -27,7 +27,7 @@ SCHEMA_VERSION = 1
 
 
 def to_jsonable(obj: Any) -> Any:
-    """The `default=` hook of every report's `json.dumps`: converts the four
+    """The `default=` hook of every report's `json.dumps`: converts the three
     kinds of value json cannot encode. Fractions become 'p/q' strings so
     exactness survives the round trip."""
     if isinstance(obj, Fraction):
@@ -36,8 +36,6 @@ def to_jsonable(obj: Any) -> Any:
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if hasattr(obj, "_mpf_"):  # an mpmath.mpf, told without importing mpmath
-        return float(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
 
 
@@ -224,7 +222,7 @@ def cmd_uncertainty(args) -> Tuple[Any, List[str]]:
     if args.cosines is not None:
         report = uncertainty_check([parse_fraction(part)
                                     for part in args.cosines.split(",")])
-        return report, [f"sigma' * sigma'' = {float(report.sigma_product):.6f} "
+        return report, [f"sigma' * sigma'' = {report.sigma_product:.6f} "
                         f">= |mu| = {float(report.mu_abs):.6f}: {report.holds}",
                         report.niven_note]
     report = position_momentum_aggregate(args.samples, args.seed)

@@ -8,40 +8,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import (TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import ExactCosine, RationalAngle, niven_cosine
 from .lattice import LatticePoint
 
-if TYPE_CHECKING:
-    import mpmath
-
-PRECISION_BITS = 200  # of every mpmath evaluation; no other module imports mpmath
-
-# A float is exactly 2^-150, and mpmath compares with floats exactly, so the
-# tolerance needs no mpmath import until a numeric check runs.
-RESIDUAL_TOL = 2.0 ** -150
-
-CosineValue = Union[Fraction, float, "mpmath.mpf"]
-
-
-def _mpf(x: CosineValue) -> mpmath.mpf:
-    import mpmath
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpf(x)
-
-
-def _radians(angle: RationalAngle) -> mpmath.mpf:
-    import mpmath
-    with mpmath.workprec(PRECISION_BITS):
-        return 2 * mpmath.pi * mpmath.mpf(angle.turns.numerator) / angle.turns.denominator
-
-
-def _cis(angle: RationalAngle) -> mpmath.mpc:
-    import mpmath
-    return mpmath.exp(1j * _radians(angle))
+CosineValue = Union[Fraction, float]
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +28,6 @@ class MZReport:
     output_definable: bool
     output_certificate: ExactCosine
     output_probabilities: Tuple[CosineValue, CosineValue]  # (sin^2, cos^2) of phi/2
-    numeric_residual: float
 
 
 def mz_simulate(phi: RationalAngle) -> MZReport:
@@ -67,26 +38,16 @@ def mz_simulate(phi: RationalAngle) -> MZReport:
     rational-turn input. The output basis needs cos^2(phi/2), hence cos(phi),
     rational; the two demands only coincide on the exceptional angles.
     """
-    import mpmath
-    with mpmath.workprec(PRECISION_BITS):
-        e = _cis(phi)
-        amp_keep = (1 + e) / 2   # port that reproduces the input at phi = 0
-        amp_cross = (1 - e) / 2
-        half = _radians(phi) / 2
-        residual = max(abs(abs(amp_cross) ** 2 - mpmath.sin(half) ** 2),
-                       abs(abs(amp_keep) ** 2 - mpmath.cos(half) ** 2))
-        if not residual < RESIDUAL_TOL:
-            raise ArithmeticError(
-                f"interferometer probabilities off by {float(residual):.3g} "
-                f"at phi = {phi.turns} of a turn")
-
     cert = niven_cosine(phi)
     if cert.is_rational:
         c = cert.rational
         probs: Tuple[CosineValue, CosineValue] = ((1 - c) / 2, (1 + c) / 2)
     else:
-        with mpmath.workprec(PRECISION_BITS):
-            probs = (mpmath.sin(half) ** 2, mpmath.cos(half) ** 2)
+        # From the turn folded into [0, 1/2]: within 5 ulp for denominators
+        # <= 400, where math.sin(math.pi * t) ** 2 is up to 667 ulp off.
+        u = min(phi.turns, 1 - phi.turns)
+        probs = (math.sin(math.pi * u) ** 2,
+                 math.sin(math.pi * (Fraction(1, 2) - u)) ** 2)
     return MZReport(
         phi=phi,
         inside_definable=True,
@@ -95,7 +56,6 @@ def mz_simulate(phi: RationalAngle) -> MZReport:
         output_definable=cert.is_rational,
         output_certificate=cert,
         output_probabilities=probs,
-        numeric_residual=float(residual),
     )
 
 
@@ -132,54 +92,55 @@ def delayed_choice(phi: RationalAngle, second_mirror_in: bool) -> DelayedChoiceR
 @dataclass(frozen=True)
 class UncertaintyReport:
     cosines: Tuple[CosineValue, CosineValue, CosineValue]
-    sigma_product: CosineValue       # sin(theta') * sin(theta'')
+    sigma_product: float             # sin(theta') * sin(theta''), correctly rounded
     mu_abs: CosineValue              # |cos(theta)|
     holds: bool
     rational_flags: Tuple[bool, bool, bool]
     niven_note: str
 
 
+def _sqrt_float(x: Fraction) -> float:
+    """The float nearest sqrt(x), for a Fraction x >= 0."""
+    n, d = x.numerator, x.denominator
+    k = max(0, 56 - (n.bit_length() - d.bit_length()) // 2)  # r has >= 56 bits
+    num = n << 2 * k
+    r = math.isqrt(num // d)
+    if r * r * d != num:
+        r |= 1  # a sticky bit below the 53 kept, so r rounds as the true root
+    return r / (1 << k)  # int division rounds once, subnormal results too
+
+
 def uncertainty_check(cosines: Sequence[CosineValue],
-                      tol: Optional[mpmath.mpf] = None) -> UncertaintyReport:
+                      tol: Optional[CosineValue] = None) -> UncertaintyReport:
     """Check sin(theta')*sin(theta'') >= |cos(theta)| for a direction given
     by its three direction cosines (squares summing to one).
 
-    Exact Fraction inputs are compared exactly via squares; numeric inputs
-    at 200-bit precision within `tol` (default 2^-150).
+    Every input is taken as the exact Fraction it equals, and both the
+    unit-sum check and the verdict are decided exactly within `tol`: 0 when
+    all three cosines are Fractions, 2^-150 otherwise.
     """
-    import mpmath
     if len(cosines) != 3:
         raise ValueError("need exactly three direction cosines")
-    tol = RESIDUAL_TOL if tol is None else tol
-    exact = all(isinstance(c, Fraction) for c in cosines)
-    c, cp, cpp = cosines
-    if exact:
-        if c * c + cp * cp + cpp * cpp != 1:
-            raise ValueError("direction cosines do not have unit square sum")
-        lhs_sq = (1 - cp * cp) * (1 - cpp * cpp)
-        rhs_sq = c * c
-        holds = lhs_sq >= rhs_sq
-        with mpmath.workprec(PRECISION_BITS):
-            sigma = mpmath.sqrt(_mpf(lhs_sq))
-        mu = abs(c)
-    else:
-        if not all(mpmath.isfinite(v) for v in cosines):
-            raise ValueError("direction cosines must be finite, got "
-                             + ", ".join(str(v) for v in cosines))
-        with mpmath.workprec(PRECISION_BITS):
-            mc, mcp, mcpp = _mpf(c), _mpf(cp), _mpf(cpp)
-            if abs(mc ** 2 + mcp ** 2 + mcpp ** 2 - 1) > tol:
-                raise ValueError("direction cosines do not have unit square sum")
-            sigma = mpmath.sqrt((1 - mcp ** 2) * (1 - mcpp ** 2))
-            mu = abs(mc)
-            holds = bool(sigma >= mu - tol)
     flags = tuple(isinstance(v, Fraction) for v in cosines)
+    if not all(f or math.isfinite(v) for f, v in zip(flags, cosines)):
+        raise ValueError("direction cosines must be finite, got "
+                         + ", ".join(str(v) for v in cosines))
+    if tol is None:
+        tol = 0 if all(flags) else Fraction(1, 2 ** 150)
+    tol = Fraction(tol)
+    c, cp, cpp = map(Fraction, cosines)
+    if abs(c * c + cp * cp + cpp * cpp - 1) > tol:
+        raise ValueError("direction cosines do not have unit square sum")
+    # Within a tolerance |cp| or |cpp| may exceed 1 and make this negative.
+    lhs_sq = max(Fraction(0), (1 - cp * cp) * (1 - cpp * cpp))
+    bound = abs(c) - tol
     note = ("all three direction cosines rational: only possible on the "
             "exceptional angle set" if all(flags) else
             "spin values along two axes are not simultaneously rational off "
             "the exceptional angle set")
-    return UncertaintyReport(cosines=tuple(cosines), sigma_product=sigma,
-                             mu_abs=mu, holds=holds,
+    return UncertaintyReport(cosines=tuple(cosines), mu_abs=abs(cosines[0]),
+                             sigma_product=_sqrt_float(lhs_sq),
+                             holds=bound <= 0 or lhs_sq >= bound * bound,
                              rational_flags=flags, niven_note=note)
 
 

@@ -95,8 +95,8 @@ GOLDEN = {
     'measure-L4': (0, '570000e5028c8f1c', '', {}),
     'measure-pole-m0': (0, 'cb837464e2c57386', '', {}),
     'measure-pole-mL': (0, 'f6c6fad83c9f5c06', '', {}),
-    'mz-niven': (0, '012a945eaa169264', '', {}),
-    'mz-rational': (0, 'e6b664c98db0c4e4', '', {}),
+    'mz-niven': (0, 'f0f1ce097b94fc23', '', {}),
+    'mz-rational': (0, '621e7bbaeab77a3b', '', {}),
     'niven-irrational': (0, 'e46588da5f2420e9', '', {}),
     'niven-rational': (0, 'bb2207613e61694a', '', {}),
     'niven-surd': (0, '5031d6718c749033', '', {}),

@@ -10,6 +10,7 @@ from rationalqm import experiments, states
 from rationalqm.exact import (RationalAngle, cos_squared, itc_verdict,
                              parse_fraction)
 from rationalqm.experiments import (_pair_seed, _singlet_product_sum,
+                                    _sqrt_float,
                                     aggregate_directions,
                                     bell_run, delayed_choice,
                                     mz_simulate,
@@ -23,6 +24,11 @@ from rationalqm.states import (canonical_two_qubit_strings, make_singlet,
 
 def angle(text):
     return RationalAngle(parse_fraction(text))
+
+
+def turns_up_to(max_den):
+    """Every reduced turn p/q in [0, 1) with q <= max_den."""
+    return sorted({Fraction(p, q) for q in range(1, max_den + 1) for p in range(q)})
 
 
 def reference_position_sum(values, trials, rng):
@@ -44,7 +50,6 @@ class TestMachZehnder:
         assert report.inside_definable
         assert report.output_definable
         assert report.output_probabilities == (Fraction(1, 2), Fraction(1, 2))
-        assert report.numeric_residual < 2.0 ** -150
 
     def test_zero_phase_is_deterministic(self):
         report = mz_simulate(angle("0"))
@@ -55,12 +60,6 @@ class TestMachZehnder:
         assert report.output_definable
         assert report.output_probabilities == (Fraction(1, 4), Fraction(3, 4))
 
-    def test_residual_check_survives_optimisation(self, monkeypatch):
-        # a real exception, not an assert that python -O strips
-        monkeypatch.setattr(experiments, "RESIDUAL_TOL", mpmath.mpf(-1))
-        with pytest.raises(ArithmeticError):
-            mz_simulate(angle("1/7"))
-
     def test_fifth_turn_output_undefinable(self):
         report = mz_simulate(angle("1/5"))
         assert report.inside_definable
@@ -68,6 +67,33 @@ class TestMachZehnder:
         p_sin, p_cos = report.output_probabilities
         assert abs(float(p_sin) - math.sin(math.pi / 5) ** 2) < 1e-12
         assert abs(float(p_sin) + float(p_cos) - 1) < 1e-12
+
+    def test_amplitude_identity_at_200_bits(self):
+        # |(1 + e^{i phi})/2|^2 = cos^2(phi/2) and |(1 - e^{i phi})/2|^2 =
+        # sin^2(phi/2), the identity behind the output probabilities
+        with mpmath.workprec(200):
+            for t in turns_up_to(12):
+                half = mpmath.pi * mpmath.mpf(t.numerator) / t.denominator
+                e = mpmath.exp(2j * half)
+                assert abs(abs((1 + e) / 2) ** 2 - mpmath.cos(half) ** 2) < 2 ** -190
+                assert abs(abs((1 - e) / 2) ** 2 - mpmath.sin(half) ** 2) < 2 ** -190
+
+    def test_probabilities_against_200_bit_values(self):
+        # exact Fractions where cos(phi) is rational, else within 8 ulp
+        for t in turns_up_to(60):
+            report = mz_simulate(RationalAngle(t))
+            with mpmath.workprec(200):
+                half = mpmath.pi * mpmath.mpf(t.numerator) / t.denominator
+                exact = (mpmath.sin(half) ** 2, mpmath.cos(half) ** 2)
+                for got, want in zip(report.output_probabilities, exact):
+                    if report.output_definable:
+                        assert isinstance(got, Fraction)
+                        assert abs(mpmath.mpf(got.numerator) / got.denominator
+                                   - want) < 2 ** -190
+                    else:
+                        assert isinstance(got, float)
+                        want = float(want)
+                        assert abs(got - want) <= 8 * math.ulp(want), t
 
 
 class TestDelayedChoice:
@@ -136,6 +162,50 @@ class TestUncertainty:
     def test_non_unit_sum_rejected(self):
         with pytest.raises(ValueError):
             uncertainty_check((Fraction(1), Fraction(1), Fraction(0)))
+
+    @pytest.mark.parametrize("cosines,error", [
+        # within tol = 1e-9 of a unit sum, yet 1 - cp^2 < 0
+        ((0.0, 1 + 1e-10, 0.0), None),
+        ((math.nan, 0.0, 1.0), "finite"),
+        ((math.inf, 0.0, 1.0), "finite"),
+        ((0.0, -math.inf, 1.0), "finite"),
+        # too large for a float: only the unit-sum check rejects it
+        ((Fraction(10 ** 400), Fraction(0), Fraction(1)), "unit square sum"),
+    ], ids=["overshoot", "nan", "inf", "-inf", "huge-fraction"])
+    def test_edge_inputs(self, cosines, error):
+        if error is None:
+            report = uncertainty_check(cosines, tol=1e-9)
+            assert report.holds and report.sigma_product == 0.0
+        else:
+            with pytest.raises(ValueError, match=error):
+                uncertainty_check(cosines, tol=1e-9)
+
+    def test_sigma_product_is_correctly_rounded(self):
+        # against the test's own mpmath at 2000 bits, far past any tie a
+        # 53-bit rounding could meet at these sizes
+        rng = random.Random(20)
+        values = [Fraction(0)]
+        for _ in range(10_000):
+            num, den = (rng.getrandbits(rng.randint(3, 700)) for _ in range(2))
+            values.append(Fraction(num, den or 1))
+        values += [Fraction(rng.getrandbits(rng.randint(1, 350)),
+                            rng.getrandbits(rng.randint(1, 350)) or 1) ** 2
+                   for _ in range(200)]  # exact squares
+        with mpmath.workprec(2000):
+            for x in values:
+                want = float(mpmath.sqrt(mpmath.mpf(x.numerator) / x.denominator))
+                assert _sqrt_float(x) == want, x
+
+    def test_sigma_product_rounds_once_below_the_normal_range(self):
+        # mpmath's own float() rounds twice there, so compare distances
+        rng = random.Random(21)
+        with mpmath.workprec(3000):
+            for _ in range(1_000):
+                x = Fraction(rng.getrandbits(60) | 1, 1 << rng.randint(2050, 2140))
+                root = mpmath.sqrt(mpmath.mpf(x.numerator) / x.denominator)
+                got = _sqrt_float(x)
+                for other in (math.nextafter(got, 0), math.nextafter(got, 1)):
+                    assert abs(got - root) <= abs(other - root), x
 
     def test_random_directions_always_hold(self):
         rng = random.Random(4242)

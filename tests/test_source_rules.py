@@ -1,7 +1,7 @@
 """Rules on the source itself: invariants in `src/` raise real exceptions,
 because `python -O` strips `assert` statements; every public name, method and
 property in `src/` is there for the program, not only for its unit tests; and
-only `experiments` evaluates numbers with mpmath."""
+no module imports mpmath, which only the tests use as an oracle."""
 
 import ast
 from collections import Counter
@@ -87,8 +87,8 @@ def _imports_mpmath(node: ast.AST) -> bool:
             and node.module.split(".")[0] == "mpmath")
 
 
-def test_only_experiments_imports_mpmath():
+def test_no_module_imports_mpmath():
     # ast.walk reaches imports inside functions and TYPE_CHECKING blocks too
     importers = {path.name for path in sorted(PACKAGE.rglob("*.py"))
                  if any(map(_imports_mpmath, ast.walk(_parse(path))))}
-    assert importers == {"experiments.py"}
+    assert importers == set()
