@@ -26,6 +26,8 @@ CASES = {
     "sphere-L4-csv": ["sphere", "--L", "4", "--csv", "sphere.csv", "--json", "-"],
     "sphere-L64": ["sphere", "--L", "64", "--json", "sphere.json"],
     "sphere-L-separator": ["sphere", "--L", "1_0"],
+    "sphere-L4-escaped-csv-name": ["sphere", "--L", "4", "--csv", 'dé"j.csv',
+                                   "--json", "-"],
     "measure-L4": ["measure", "--m", "2", "--n", "1", "--L", "4", "--seed", "0",
                    "--json", "-"],
     "measure-pole-m0": ["measure", "--m", "0", "--n", "3", "--L", "4", "--seed", "1",
@@ -42,6 +44,8 @@ CASES = {
                          "--json", "-"],
     "state-singlet-L360": ["state", "--singlet-cos", "-1/3", "--L", "360",
                            "--seed", "9", "--json", "state.json"],
+    "state-singlet-L360-stdout": ["state", "--singlet-cos", "1/2", "--L", "360",
+                                  "--seed", "3", "--json", "-"],
     "state-unrealisable": ["state", "--singlet-cos", "1/3", "--L", "8", "--seed", "1"],
     "bell-readme": ["bell", "--angles", "0,1/6,1/3", "--L", "360",
                     "--trials", "100000", "--seed", "7", "--csv", "bell.csv",
@@ -107,12 +111,14 @@ GOLDEN = {
     'sg-degenerate': (0, '76a6e7ae1533ec9b', '', {}),
     'sphere-L-separator': (2, '', 'dd7bfb0adc47411f', {}),
     'sphere-L1': (0, 'b36f12841258eabf', '', {}),
+    'sphere-L4-escaped-csv-name': (0, 'e7b0807867030806', '', {'dé"j.csv': '3b72d7a5989c152b'}),
     'sphere-L4-csv': (0, 'bcae915aff713e63', '', {'sphere.csv': '3b72d7a5989c152b'}),
     'sphere-L64': (0, '9e1f7597ee824fdb', '', {'sphere.json': 'f7f0efd28d961139'}),
     'state-pole': (0, '427dba3063dbf93a', '', {}),
     'state-qubit': (0, 'b1a66982df4337c2', '', {}),
     'state-seed-arabic-digit': (2, '', '0658668e08650311', {}),
     'state-singlet-L360': (0, 'f54af0e94145ead3', '', {'state.json': 'db3fd91a773d1696'}),
+    'state-singlet-L360-stdout': (0, '16b4ff43a1a0332f', '', {}),
     'state-singlet-L8': (0, 'be5d0cb3e7329bcf', '', {}),
     'state-unrealisable': (3, '', '41c483e9242a0ee7', {}),
     'uncertainty-cosines': (0, '4257a7b1156a3ad4', '', {}),
