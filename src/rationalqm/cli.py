@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import datetime
 import enum
-import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -27,9 +26,11 @@ SCHEMA_VERSION = 1
 
 
 def to_jsonable(obj: Any) -> Any:
-    """The `default=` hook of every report's `json.dumps`: converts the three
-    kinds of value json cannot encode. Fractions become 'p/q' strings so
-    exactness survives the round trip."""
+    """The three kinds of report value that JSON has no form for: a Fraction
+    becomes its 'p/q' string, so exactness survives the round trip; an Enum
+    its value; a dataclass instance the dict of its fields. Anything else
+    raises TypeError. `to_json` calls this once per such value, by its
+    module-level name."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, enum.Enum):
@@ -39,7 +40,87 @@ def to_jsonable(obj: Any) -> Any:
     raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
 
 
+# Printable ASCII but the quote and the backslash: a string of only these
+# characters is its own JSON encoding between two quotes.
+_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def to_json(obj: Any) -> str:
+    """`obj` as `json.dumps(obj, indent=2, sort_keys=True, default=to_jsonable)`
+    writes it, byte for byte, except that a dict key that is not a string
+    raises TypeError. A list of ints, or of strings that need no escaping,
+    is written with one join."""
+    from json.encoder import encode_basestring_ascii
+    chunks: List[str] = []
+    _write_json(obj, "\n", chunks.append, encode_basestring_ascii)
+    return "".join(chunks)
+
+
+def _write_json(o: Any, newline: str, append: Callable[[str], None],
+                quote: Callable[[str], str]) -> None:
+    # `newline` is a line break and the indent of the current level. A
+    # module-level function, not a closure over `chunks`: a closure that
+    # calls itself is a reference cycle, and would keep every report's
+    # chunks alive until the cycle collector runs.
+    if isinstance(o, str):
+        append(quote(o))
+    elif o is None:
+        append("null")
+    elif o is True:
+        append("true")
+    elif o is False:
+        append("false")
+    elif isinstance(o, int):
+        append(int.__repr__(o))
+    elif isinstance(o, float):
+        append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            append("[]")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        append("[" + inner)
+        if all(type(x) is int for x in o):
+            append(sep.join(map(int.__repr__, o)))
+        elif all(type(x) is str and x.isascii()
+                 and not x.encode().translate(None, _PLAIN) for x in o):
+            append('"')
+            append(('"' + sep + '"').join(o))
+            append('"')
+        else:
+            for i, x in enumerate(o):
+                if i:
+                    append(sep)
+                _write_json(x, inner, append, quote)
+        append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            append("{}")
+            return
+        inner = newline + "  "
+        sep = "," + inner
+        append("{" + inner)
+        for i, (key, value) in enumerate(sorted(o.items())):
+            if i:
+                append(sep)
+            append(quote(key) + ": ")
+            _write_json(value, inner, append, quote)
+        append(newline + "}")
+    else:
+        _write_json(to_jsonable(o), newline, append, quote)
+
+
 def build_manifest(args: argparse.Namespace, outputs: List[str]) -> Dict[str, Any]:
+    import datetime
     config = {k: v for k, v in vars(args).items()
               if k not in ("func", "json", "csv") and v is not None}
     return {
@@ -55,16 +136,16 @@ def build_manifest(args: argparse.Namespace, outputs: List[str]) -> Dict[str, An
 def emit(args: argparse.Namespace, report: Any, summary_lines: List[str]) -> None:
     if getattr(args, "json", None) is not None:
         outputs = [str(args.csv)] if getattr(args, "csv", None) else []
-        payload = {
+        text = to_json({
             "schema_version": SCHEMA_VERSION,
             "manifest": build_manifest(args, outputs),
             "report": report,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True, default=to_jsonable)
+        })
         if args.json == "-":
             print(text)
         else:
-            Path(args.json).write_text(text + "\n")
+            with open(args.json, "w") as fh:
+                print(text, file=fh)
     for line in summary_lines:
         print(line)
 

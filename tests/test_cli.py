@@ -493,7 +493,7 @@ class TestConfigFile:
 
 def encode(obj):
     """A value as `emit` encodes it, decoded back."""
-    return json.loads(json.dumps(obj, default=to_jsonable))
+    return json.loads(cli.to_json(obj))
 
 
 class TestToJsonable:
@@ -700,6 +700,26 @@ def test_commands_load_only_their_modules(argvs, expected):
     assert [name for name, _, _ in steps] == ["build_parser"] + [a[0] for a in argvs]
     assert [code for _, code, _ in steps] == [0] * len(steps)
     assert [modules for _, _, modules in steps] == expected
+
+
+def test_parsing_does_not_load_json_or_datetime():
+    """`json` and `datetime` are loaded by the first report written, not by
+    importing the CLI and building its parser."""
+    script = """
+import sys
+def loaded():
+    return {name for name in sys.modules
+            if name.lstrip("_").split(".")[0] in ("json", "datetime")}
+bare = loaded()
+import rationalqm.cli as cli
+cli.build_parser()
+parsing = loaded() - bare
+cli.main(["niven", "--turns", "1/6", "--json", "-"])
+print(sorted(parsing), "json" in sys.modules, "datetime" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=src_env(), timeout=60, check=True)
+    assert proc.stdout.splitlines()[-1] == "[] True True"
 
 
 class TestModuleEntryPoint:
