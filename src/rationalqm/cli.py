@@ -29,7 +29,7 @@ def to_jsonable(obj: Any) -> Any:
     """The three kinds of report value that JSON has no form for: a Fraction
     becomes its 'p/q' string, so exactness survives the round trip; an Enum
     its value; a dataclass instance the dict of its fields. Anything else
-    raises TypeError. `to_json` calls this once per such value, by its
+    raises TypeError. `json_chunks` calls this once per such value, by its
     module-level name."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
@@ -53,15 +53,16 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def to_json(obj: Any) -> str:
-    """`obj` as `json.dumps(obj, indent=2, sort_keys=True, default=to_jsonable)`
-    writes it, byte for byte, except that a dict key that is not a string
-    raises TypeError. A list of ints, or of strings that need no escaping,
-    is written with one join."""
+def json_chunks(obj: Any) -> List[str]:
+    """Pieces whose concatenation is `json.dumps(obj, indent=2, sort_keys=True,
+    default=to_jsonable)`, byte for byte, except that a dict key that is not
+    a string raises TypeError. A list of ints, or of strings that need no
+    escaping, is written 64 items to a piece, so no piece but a single long
+    string grows with the report."""
     from json.encoder import encode_basestring_ascii
     chunks: List[str] = []
     _write_json(obj, "\n", chunks.append, encode_basestring_ascii)
-    return "".join(chunks)
+    return chunks
 
 
 def _write_json(o: Any, newline: str, append: Callable[[str], None],
@@ -89,13 +90,20 @@ def _write_json(o: Any, newline: str, append: Callable[[str], None],
         inner = newline + "  "
         sep = "," + inner
         append("[" + inner)
+        mark = None
         if all(type(x) is int for x in o):
-            append(sep.join(map(int.__repr__, o)))
+            mark, o = "", list(map(int.__repr__, o))
         elif all(type(x) is str and x.isascii()
                  and not x.encode().translate(None, _PLAIN) for x in o):
-            append('"')
-            append(('"' + sep + '"').join(o))
-            append('"')
+            mark = '"'
+        if mark is not None:
+            sep = mark + sep + mark
+            append(mark)
+            for i in range(0, len(o), 64):
+                if i:
+                    append(sep)
+                append(sep.join(o[i:i + 64]))
+            append(mark)
         else:
             for i, x in enumerate(o):
                 if i:
@@ -136,16 +144,17 @@ def build_manifest(args: argparse.Namespace, outputs: List[str]) -> Dict[str, An
 def emit(args: argparse.Namespace, report: Any, summary_lines: List[str]) -> None:
     if getattr(args, "json", None) is not None:
         outputs = [str(args.csv)] if getattr(args, "csv", None) else []
-        text = to_json({
+        chunks = json_chunks({
             "schema_version": SCHEMA_VERSION,
             "manifest": build_manifest(args, outputs),
             "report": report,
         })
+        chunks.append("\n")
         if args.json == "-":
-            print(text)
+            sys.stdout.writelines(chunks)
         else:
             with open(args.json, "w") as fh:
-                print(text, file=fh)
+                fh.writelines(chunks)
     for line in summary_lines:
         print(line)
 
@@ -275,7 +284,7 @@ def cmd_measure(args) -> Tuple[Any, List[str]]:
         "outcome": trace.outcome,
         "step_count": trace.step_count,
     }
-    return report, ["trace: " + " -> ".join(steps),
+    return report, [" -> ".join(["trace: " + steps[0], *steps[1:]]),
                     f"outcome: {'+1' if trace.outcome == 1 else '-1'} "
                     f"after {trace.step_count} halving steps"]
 

@@ -224,7 +224,8 @@ def lattice_to_csv(L: int, out: TextIO) -> int:
     quoting, lines end in \\r\\n) for the points of `iter_lattice`, with
     the bits of `canonical_bitstring` space separated. The bits of (m, n)
     are L consecutive tokens of the block string written twice, so each row
-    is one slice of a string built once per latitude.
+    is one slice of a string built once per latitude. Rows go out 64 to a
+    `write`, so no piece grows with the lattice's size beyond one row's.
     """
     count = lattice_size(L)
     out.write("m,n,L,cos_theta,bits\r\n")
@@ -235,6 +236,7 @@ def lattice_to_csv(L: int, out: TextIO) -> int:
         c = Fraction(2 * m - L, L)
         tail = f"{L},{c.numerator}/{c.denominator},"
         longitudes = (0,) if m in (0, L) else range(L)
-        out.write("".join(f"{m},{n},{tail}{doubled[starts[n]:starts[n + L] - 1]}\r\n"
-                          for n in longitudes))
+        for i in range(0, len(longitudes), 64):
+            out.write("".join(f"{m},{n},{tail}{doubled[starts[n]:starts[n + L] - 1]}\r\n"
+                              for n in longitudes[i:i + 64]))
     return count

@@ -40,13 +40,15 @@ class IntegerPair:
                 format(self.minus, f"0{self.width}b"))
 
 
+_DIGIT = {1: "1", -1: "0"}
+
+
 def to_integer_pair(s: Sequence[int]) -> IntegerPair:
     bits = validate_bits(s)
     if not bits:
         raise ValueError("empty bit string")
-    plus = 0
-    for b in bits:
-        plus = (plus << 1) | (1 if b == 1 else 0)
+    # One base-2 parse, linear in L; shifting in one bit at a time is O(L^2).
+    plus = int("".join(map(_DIGIT.__getitem__, bits)), 2)
     return IntegerPair(plus=plus, width=len(bits))
 
 

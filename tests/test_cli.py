@@ -493,7 +493,7 @@ class TestConfigFile:
 
 def encode(obj):
     """A value as `emit` encodes it, decoded back."""
-    return json.loads(cli.to_json(obj))
+    return json.loads("".join(cli.json_chunks(obj)))
 
 
 class TestToJsonable:

@@ -1,5 +1,6 @@
-"""`cli.to_json` writes the bytes `json.dumps(obj, indent=2, sort_keys=True,
-default=to_jsonable)` writes, and calls `to_jsonable` on the same values."""
+"""The pieces of `cli.json_chunks` join to the bytes `json.dumps(obj, indent=2,
+sort_keys=True, default=to_jsonable)` writes, the writer calls `to_jsonable`
+on the same values, and no piece of a report grows with the report."""
 
 import dataclasses
 import enum
@@ -10,12 +11,14 @@ from fractions import Fraction
 from typing import Any
 from unittest import mock
 
+import argparse
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rationalqm import cli
-from rationalqm.cli import to_json, to_jsonable
+from rationalqm.cli import json_chunks, to_jsonable
 
 
 class Kind(str, enum.Enum):
@@ -40,6 +43,10 @@ class Pair:
 
 def dumps(obj, default=to_jsonable):
     return json.dumps(obj, indent=2, sort_keys=True, default=default)
+
+
+def to_json(obj):
+    return "".join(json_chunks(obj))
 
 
 PLAIN_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E))
@@ -113,14 +120,15 @@ def test_keys_other_than_strings_raise(obj):
 
 
 def test_leaves_no_reference_cycles():
-    """A report's chunks are freed when `to_json` returns, not at the next
-    run of the cycle collector, which a megabyte report could long outlive."""
+    """A report's chunks are freed once the list `json_chunks` returns is
+    dropped, not at the next run of the cycle collector, which a megabyte
+    report could long outlive."""
     report = {"trace": ["01.-10."] * 50, "string": (1, -1) * 25,
               "pair": Pair(Fraction(1, 3), [1.5, "é", None])}
     gc.collect()
     gc.disable()
     try:
-        to_json(report)
+        json_chunks(report)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -134,3 +142,46 @@ def test_measure_report_is_json_dumps(capsys):
     payload, end = json.JSONDecoder().raw_decode(out)
     assert out[:end] == dumps(payload)
     assert len(payload["report"]["trace"]) == len(payload["report"]["string"]) == 1024
+
+
+@pytest.mark.parametrize("count", [63, 64, 65, 128, 129])
+def test_long_plain_lists_are_json_dumps(count):
+    """Around the 64-item pieces of the fast paths."""
+    strings = [f"{i:b}.-{~i & 0xff:b}." for i in range(count)]
+    assert to_json(strings) == dumps(strings)
+    assert to_json({"t": strings}) == dumps({"t": strings})
+    ints = [(-1) ** i * i for i in range(count)]
+    assert to_json(ints) == dumps(ints)
+
+
+def test_long_list_with_escaped_last_item():
+    strings = ["01.-10."] * 64 + ['a "quoted" \\ item']
+    assert to_json(strings) == dumps(strings)
+
+
+def test_measure_report_pieces_are_bounded(tmp_path, capsys):
+    """The L = 1024 report is about a megabyte, but `emit` writes it in
+    pieces of at most 64 trace steps."""
+    written = []
+
+    def keep(obj):
+        written.append(json_chunks(obj))
+        return written[-1]
+
+    path = tmp_path / "m.json"
+    with mock.patch.object(cli, "json_chunks", keep):
+        assert cli.main(["measure", "--m", "300", "--n", "17", "--L", "1024",
+                         "--seed", "5", "--json", str(path)]) == 0
+    capsys.readouterr()  # the summary's megabyte trace line
+    [chunks] = written
+    assert "".join(chunks) == path.read_text()
+    assert 1_050_000 < path.stat().st_size < 1_100_000
+    assert max(map(len, chunks)) < 200_000
+
+
+def test_unserialisable_report_leaves_no_file(tmp_path):
+    path = tmp_path / "r.json"
+    args = argparse.Namespace(command="measure", json=str(path))
+    with pytest.raises(TypeError, match="set is not JSON serialisable"):
+        cli.emit(args, {"trace": ["01.-10."] * 200, "bad": {1, 2}}, [])
+    assert not path.exists()

@@ -252,6 +252,26 @@ class TestLatticeEnumeration:
         assert buf.getvalue() == reference_lattice_csv(L)
         assert rows == lattice_size(L)
 
+    def test_csv_pieces_match_per_latitude_join(self):
+        """At L = 130 a latitude's 130 rows go out in pieces of 64, 64 and 2,
+        and the bytes are those of one join per latitude."""
+        L = 130
+        expected = ["m,n,L,cos_theta,bits\r\n"]
+        for m in range(L + 1):
+            block = ["1"] * m + ["-1"] * (L - m)
+            c = Fraction(2 * m - L, L)
+            expected.append("".join(
+                f"{m},{n},{L},{c.numerator}/{c.denominator},"
+                f"{' '.join(block[n:] + block[:n])}\r\n"
+                for n in ((0,) if m in (0, L) else range(L))))
+        writes = []
+        buf = io.StringIO(newline="")
+        buf.write = lambda text: writes.append(text) or len(text)
+        assert lattice_to_csv(L, buf) == lattice_size(L)
+        assert "".join(writes) == "".join(expected)
+        assert len(writes) == 1 + 2 + 3 * (L - 1)
+        assert max(w.count("\n") for w in writes) == 64
+
     def test_csv_dump(self):
         buf = io.StringIO()
         rows = lattice_to_csv(4, buf)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -48,6 +49,23 @@ class TestIntegerPair:
         p = to_integer_pair(s)
         assert p.plus ^ p.minus == (1 << p.width) - 1
         assert p.plus & p.minus == 0
+
+    def test_matches_bit_by_bit_loop(self):
+        """The one-parse conversion against the loop it replaced."""
+        rng = random.Random(2024)
+        for width in [1, 2, 63, 64, 65, 4096] + [rng.randint(1, 4096) for _ in range(40)]:
+            bits = tuple(rng.choice((1, -1)) for _ in range(width))
+            plus = 0
+            for b in bits:
+                plus = (plus << 1) | (1 if b == 1 else 0)
+            assert to_integer_pair(bits) == IntegerPair(plus=plus, width=width)
+
+    def test_accepts_what_validation_accepts(self):
+        assert to_integer_pair([True, -1.0, 1.0, -1]).plus == 0b1010
+        with pytest.raises(ValueError):
+            to_integer_pair((1, 0, -1))
+        with pytest.raises(ValueError):
+            to_integer_pair(())
 
 
 class TestReduction:
