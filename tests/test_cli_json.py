@@ -2,6 +2,7 @@
 sort_keys=True, default=to_jsonable)` writes, the writer calls `to_jsonable`
 on the same values, and no piece of a report grows with the report."""
 
+import argparse
 import dataclasses
 import enum
 import gc
@@ -10,8 +11,6 @@ import math
 from fractions import Fraction
 from typing import Any
 from unittest import mock
-
-import argparse
 
 import pytest
 from hypothesis import given, settings
