@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import enum
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -184,6 +185,15 @@ def _csv_path(text: str) -> str:
         raise argparse.ArgumentTypeError("'-' is not accepted: CSV goes to a file, "
                                          "never to stdout")
     return text
+
+
+def _check_distinct_outputs(args: argparse.Namespace) -> None:
+    """--csv and --json may not name one file: the JSON report would
+    overwrite the CSV that its manifest lists as an output."""
+    csv, report = getattr(args, "csv", None), getattr(args, "json", None)
+    if (csv and report not in (None, "-")
+            and os.path.realpath(csv) == os.path.realpath(report)):
+        raise ValueError(f"--csv {csv} and --json {report} name the same file")
 
 
 def _signs(bits) -> str:
@@ -495,6 +505,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_distinct_outputs(args)
         report, lines = args.func(args)
         emit(args, report, lines)
     except (ValueError, OSError) as exc:

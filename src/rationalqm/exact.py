@@ -226,12 +226,6 @@ def niven_cosine(angle: RationalAngle) -> ExactCosine:
     return _surd(Fraction(0), angle.cosine_sign(), c2.numerator, c2.denominator)
 
 
-def cos_squared(angle: RationalAngle) -> Optional[Fraction]:
-    """cos^2(phi) as an exact rational when one exists, read from the
-    half-angle table by the reduced turn-denominator."""
-    return _COS_SQ_BY_DENOMINATOR.get(angle.denominator)
-
-
 def _check_cosine_range(name: str, value: Fraction) -> Fraction:
     # Exact input only, as for RationalAngle: an int or a Fraction.
     if not isinstance(value, Fraction):

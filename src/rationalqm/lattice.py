@@ -90,14 +90,6 @@ QUATERNIONS = {
 }
 
 
-def apply_i(pair: Sequence[int]) -> Bits:
-    """{a1, a2} -> {-a2, a1} on a length-2 string."""
-    s = validate_bits(pair)
-    if len(s) != 2:
-        raise ValueError(f"apply_i needs a length-2 string, got length {len(s)}")
-    return I_GENERATOR.apply(s)
-
-
 def zeta(s: Sequence[int], k: int = 1) -> Bits:
     """k-fold cyclic left shift; one application is a rotation by 2pi/L."""
     bits = validate_bits(s)
@@ -171,7 +163,7 @@ def build_spinorial_circle(L: int) -> List[Bits]:
     if L == 2:
         circle = [(1, 1)]
         for _ in range(3):
-            circle.append(apply_i(circle[-1]))
+            circle.append(I_GENERATOR.apply(circle[-1]))
         return circle
     half = build_spinorial_circle(L // 2)
     size = len(half)  # == L

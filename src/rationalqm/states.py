@@ -9,7 +9,7 @@ sign-free `PNO`, usually made by `PNO.from_seed`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Tuple
 
@@ -105,22 +105,15 @@ def _sub_block(length: int, ones: Fraction, shift: Fraction, what: str) -> Bits:
 
 
 def canonical_two_qubit_strings(params: TwoQubitParams, L: int) -> Tuple[Bits, Bits]:
-    """The unpermuted (top, bottom) layout for the given lattice fractions."""
-    m1 = _require_integer(params.top_ones * L, f"top +1 count ({params.top_ones} of {L})")
+    """The unpermuted (top, bottom) layout for the given lattice fractions:
+    the bottom(+) sub-block fills the top's +1 positions in order, and the
+    bottom(-) sub-block its -1 positions."""
     top = _sub_block(L, params.top_ones, params.top_shift, "top")
-    plus_block = _sub_block(m1, params.cond_plus, params.shift_plus, "bottom(+) sub-block")
-    minus_block = _sub_block(L - m1, params.cond_minus, params.shift_minus,
-                             "bottom(-) sub-block")
-    bottom = [0] * L
-    ip = im = 0
-    for i, b in enumerate(top):
-        if b == 1:
-            bottom[i] = plus_block[ip]
-            ip += 1
-        else:
-            bottom[i] = minus_block[im]
-            im += 1
-    return top, tuple(bottom)
+    m1 = top.count(1)
+    plus = iter(_sub_block(m1, params.cond_plus, params.shift_plus, "bottom(+) sub-block"))
+    minus = iter(_sub_block(L - m1, params.cond_minus, params.shift_minus,
+                            "bottom(-) sub-block"))
+    return top, tuple([next(plus) if b == 1 else next(minus) for b in top])
 
 
 def make_two_qubit(params: TwoQubitParams, L: int,
@@ -163,12 +156,8 @@ def counterfactual_setting_change(state: TwoQubitState,
                                   new_params: TwoQubitParams) -> TwoQubitState:
     """Rebuild only the bottom string for a new setting, keeping xi and the
     top qubit's parameters; the top string is asserted bit-identical."""
-    params = TwoQubitParams(top_ones=state.params.top_ones,
-                            top_shift=state.params.top_shift,
-                            cond_plus=new_params.cond_plus,
-                            cond_minus=new_params.cond_minus,
-                            shift_plus=new_params.shift_plus,
-                            shift_minus=new_params.shift_minus)
+    params = replace(new_params, top_ones=state.params.top_ones,
+                     top_shift=state.params.top_shift)
     changed = make_two_qubit(params, state.L, state.xi)
     if changed.top != state.top:
         raise RuntimeError("locality violated: top string changed")

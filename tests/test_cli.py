@@ -346,6 +346,44 @@ class TestExitCodes:
         assert "--csv" in err and out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("csv_path,json_path", [
+        ("same.out", "same.out"), ("x", "./x"), ("./x", "x"), ("d/../x", "x"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ("sphere", "--L", "3"),
+        ("bell", "--angles", "0,1/6,1/3", "--L", "360", "--trials", "1000",
+         "--seed", "1"),
+    ], ids=["sphere", "bell"])
+    @pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+    def test_csv_and_json_on_one_file_rejected(self, capsys, tmp_path, monkeypatch,
+                                               argv, csv_path, json_path, exists):
+        # The JSON report would overwrite the CSV its manifest lists: exit 2
+        # before any work, and the file is neither created nor truncated.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        if exists:
+            Path(json_path).write_text("kept\n")
+        code, out, err = run(capsys, *argv, "--csv", csv_path, "--json", json_path)
+        assert code == 2 and out == ""
+        assert "--csv" in err and "--json" in err and "same file" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["d", Path(json_path).name] if exists else ["d"])
+        if exists:
+            assert Path(json_path).read_text() == "kept\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("sphere", "--L", "3"),
+        ("bell", "--angles", "0,1/6,1/3", "--L", "360", "--trials", "1000",
+         "--seed", "1"),
+    ], ids=["sphere", "bell"])
+    def test_csv_and_json_on_two_files_both_written(self, capsys, tmp_path,
+                                                    monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, _ = run(capsys, *argv, "--csv", "x", "--json", "y")
+        assert code == 0
+        assert json.loads(Path("y").read_text())["manifest"]["outputs"] == ["x"]
+        assert Path("x").read_text().count("\n") > 1
+
     @pytest.mark.parametrize("literal", ["1_0", "\u0664", "1e1", "4.0"])
     @pytest.mark.parametrize("argv", [
         ("sphere", "--L", "{}"),

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from rationalqm.exact import (CosineKind, ExactCosine,
                               RATIONAL_COS_DENOMINATORS,
                               RATIONAL_COS_SQ_DENOMINATORS, RationalAngle,
-                              Surd, cos_squared, itc_verdict, niven_cosine, parse_fraction,
+                              Surd, itc_verdict, niven_cosine, parse_fraction,
                               spherical_third_side)
+
+from certificates import certified_cos_squared
 
 TOL = mpmath.mpf(2) ** -150
 
@@ -82,7 +84,7 @@ class TestNivenCosine:
     def test_cos_squared_denominators(self):
         for d in range(1, 40):
             angle = RationalAngle(Fraction(1, d))
-            c2 = cos_squared(angle)
+            c2 = certified_cos_squared(angle)
             if angle.denominator in RATIONAL_COS_SQ_DENOMINATORS:
                 assert c2 is not None
                 assert abs(float(c2) - math.cos(2 * math.pi / d) ** 2) < 1e-12

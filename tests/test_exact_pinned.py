@@ -2,7 +2,8 @@
 certificates it produced before the tables existed.
 
 The reference forms below are the straightforward Fraction versions of
-cosine_sign and cos_squared; the golden digests are sha256 of repr() of
+cosine_sign and of cos^2, which the tests read from the niven_cosine
+certificate; the golden digests are sha256 of repr() of
 every certificate in two fixed input sets, recorded from the Fraction-based
 implementation.
 """
@@ -14,8 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-from rationalqm.exact import (RationalAngle, cos_squared, itc_verdict,
-                              niven_cosine)
+from rationalqm.exact import RationalAngle, itc_verdict, niven_cosine
+
+from certificates import certified_cos_squared
 
 # cos(2pi * t) at the reduced turn-denominators where it is rational,
 # written out here rather than imported.
@@ -56,7 +58,7 @@ def test_sign_and_cos_squared_match_reference_forms():
     for t in reduced_turns(1000):
         angle = RationalAngle(t)
         if (angle.cosine_sign() != reference_cosine_sign(t)
-                or cos_squared(angle) != reference_cos_squared(t)):
+                or certified_cos_squared(angle) != reference_cos_squared(t)):
             mismatches.append(t)
     assert mismatches == []
 

@@ -7,8 +7,7 @@ import mpmath
 import pytest
 
 from rationalqm import experiments, states
-from rationalqm.exact import (RationalAngle, cos_squared, itc_verdict,
-                             parse_fraction)
+from rationalqm.exact import RationalAngle, itc_verdict, parse_fraction
 from rationalqm.experiments import (_pair_seed, _singlet_product_sum,
                                     _sqrt_float,
                                     aggregate_directions,
@@ -20,6 +19,8 @@ from rationalqm.experiments import (_pair_seed, _singlet_product_sum,
 from rationalqm.lattice import PNO
 from rationalqm.states import (canonical_two_qubit_strings, make_singlet,
                                singlet_params)
+
+from certificates import certified_cos_squared
 
 
 def angle(text):
@@ -124,15 +125,15 @@ class TestIdentitySplit:
     when cos^2 of the half difference is."""
 
     def test_equal_phases(self):
-        assert cos_squared(half_difference("1/5", "1/5")) == 1
+        assert certified_cos_squared(half_difference("1/5", "1/5")) == 1
 
     def test_exceptional_pair(self):
         # half difference 1/12 of a turn: cos^2 = 3/4 rational
-        assert cos_squared(half_difference("1/6", "0")) == Fraction(3, 4)
+        assert certified_cos_squared(half_difference("1/6", "0")) == Fraction(3, 4)
 
     def test_generic_pair_clashes(self):
         # half difference 1/10 of a turn: cos^2 irrational
-        assert cos_squared(half_difference("1/5", "0")) is None
+        assert certified_cos_squared(half_difference("1/5", "0")) is None
 
 
 class TestUncertainty:

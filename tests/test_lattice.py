@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rationalqm import lattice
 from rationalqm.lattice import (I_GENERATOR, LatticePoint, PNO, QUATERNIONS,
-                                apply_i, block_string, build_spinorial_circle,
+                                block_string, build_spinorial_circle,
                                 canonical_bitstring, interpolated_circle,
                                 iter_lattice, lattice_size, lattice_to_csv,
                                 negate, ones_fraction, zeta)
@@ -28,24 +28,26 @@ def reference_lattice_csv(L):
     return out.getvalue()
 
 
-class TestApplyI:
+class TestIGenerator:
+    """The i-generator {a1, a2} -> {-a2, a1}, applied as the length-2 PNO."""
+
     def test_quarter_turn(self):
-        assert apply_i((1, 1)) == (-1, 1)
+        assert I_GENERATOR.apply((1, 1)) == (-1, 1)
 
     def test_square_is_negation(self):
         for s in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
-            assert apply_i(apply_i(s)) == negate(s)
+            assert I_GENERATOR.apply(I_GENERATOR.apply(s)) == negate(s)
 
     def test_fourth_power_is_identity(self):
         for s in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
             t = s
             for _ in range(4):
-                t = apply_i(t)
+                t = I_GENERATOR.apply(t)
             assert t == s
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            apply_i((1, 1, 1))
+        with pytest.raises(ValueError, match="arity 2"):
+            I_GENERATOR.apply((1, 1, 1))
 
 
 def all_length4_strings():
@@ -98,9 +100,6 @@ class TestPNO:
     def test_bad_perm_rejected(self):
         with pytest.raises(ValueError):
             PNO((0, 0), (1, 1))
-
-    def test_i_generator_is_the_length_two_quarter_turn(self):
-        assert I_GENERATOR.apply((1, 1)) == (-1, 1)
 
 
 class TestZeta:

@@ -10,11 +10,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rationalqm"
 
-# Public names that neither `src/` nor the acceptance test reaches, kept as
-# test hooks: the exhaustive cos^2 pin in test_exact_pinned.py calls
-# cos_squared.
-TEST_HOOKS = {"cos_squared"}
-
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), str(path))
@@ -73,7 +68,7 @@ def _unreached(definitions) -> set:
 
 
 def test_public_names_are_reached_outside_the_unit_tests():
-    assert _unreached(_public_definitions) == TEST_HOOKS
+    assert _unreached(_public_definitions) == set()
 
 
 def test_public_members_are_reached_outside_the_unit_tests():

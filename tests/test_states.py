@@ -11,10 +11,63 @@ from rationalqm.cli import to_jsonable
 from rationalqm.lattice import (PNO, QUATERNIONS, LatticePoint, canonical_bitstring,
                                ones_fraction)
 from rationalqm.states import (HiddenPermutation, LatticeUnrealisableError,
-                               TwoQubitParams, canonical_two_qubit_strings,
+                               TwoQubitParams, _require_integer, _sub_block,
+                               canonical_two_qubit_strings,
                                counterfactual_setting_change,
                                exact_singlet_correlation, make_qubit,
                                make_singlet, make_two_qubit, singlet_params)
+
+
+def reference_two_qubit_strings(params, L):
+    """The per-bit merge that canonical_two_qubit_strings replaced: a buffer
+    filled position by position from two counters into the sub-blocks."""
+    m1 = _require_integer(params.top_ones * L, f"top +1 count ({params.top_ones} of {L})")
+    top = _sub_block(L, params.top_ones, params.top_shift, "top")
+    plus_block = _sub_block(m1, params.cond_plus, params.shift_plus, "bottom(+) sub-block")
+    minus_block = _sub_block(L - m1, params.cond_minus, params.shift_minus,
+                             "bottom(-) sub-block")
+    bottom = [0] * L
+    ip = im = 0
+    for i, b in enumerate(top):
+        if b == 1:
+            bottom[i] = plus_block[ip]
+            ip += 1
+        else:
+            bottom[i] = minus_block[im]
+            im += 1
+    return top, tuple(bottom)
+
+
+def lattice_fractions(length):
+    """(ones, shift) for every +1 count and shift of a sub-block of this
+    length; an empty sub-block takes any fraction, so try a few."""
+    if length == 0:
+        return [(Fraction(0), Fraction(0)), (Fraction(1, 3), Fraction(1, 2))]
+    return [(Fraction(k, length), Fraction(s, length))
+            for k in range(length + 1) for s in range(length)]
+
+
+def random_lattice_fractions(rng, length):
+    """(ones, shift) of a random +1 count and shift of a sub-block."""
+    n = max(length, 1)
+    return Fraction(rng.randint(0, length), n), Fraction(rng.randrange(n), n)
+
+
+def realisable_params(L):
+    for m1 in range(L + 1):
+        for top_shift in range(L):
+            for cond_plus, shift_plus in lattice_fractions(m1):
+                for cond_minus, shift_minus in lattice_fractions(L - m1):
+                    yield TwoQubitParams(Fraction(m1, L), cond_plus, cond_minus,
+                                         Fraction(top_shift, L), shift_plus,
+                                         shift_minus)
+
+
+def build_or_error(builder, params, L):
+    try:
+        return builder(params, L)
+    except LatticeUnrealisableError as exc:
+        return str(exc)
 
 
 class TestHiddenPermutation:
@@ -138,6 +191,47 @@ class TestTwoQubit:
             got_kp = sum(1 for a, b in zip(top, bottom) if a == 1 and b == 1)
             got_km = sum(1 for a, b in zip(top, bottom) if a == -1 and b == 1)
             assert got_kp == kp and got_km == km
+
+    def test_matches_the_per_bit_merge_at_every_small_L(self):
+        count = 0
+        for L in range(1, 7):
+            for params in realisable_params(L):
+                assert (canonical_two_qubit_strings(params, L)
+                        == reference_two_qubit_strings(params, L)), (params, L)
+                count += 1
+        assert count > 5000
+
+    def test_matches_the_per_bit_merge_at_random_L(self):
+        rng = random.Random(20261019)
+        for _ in range(500):
+            L = rng.randint(1, 64)
+            m1 = rng.randint(0, L)
+            plus = random_lattice_fractions(rng, m1)
+            minus = random_lattice_fractions(rng, L - m1)
+            params = TwoQubitParams(Fraction(m1, L), plus[0], minus[0],
+                                    Fraction(rng.randrange(L), L), plus[1], minus[1])
+            assert (canonical_two_qubit_strings(params, L)
+                    == reference_two_qubit_strings(params, L)), (params, L)
+
+    def test_unrealisable_params_give_the_per_bit_merge_message(self):
+        # Fractions of small denominators: most miss the lattice, each at the
+        # first check that fails, which names the same count or shift.
+        rng = random.Random(7)
+        errors = set()
+        for _ in range(3000):
+            L = rng.randint(1, 12)
+            fractions = [Fraction(rng.randint(0, d), d)
+                         for d in (rng.randint(1, 7) for _ in range(6))]
+            params = TwoQubitParams(*fractions)
+            got = build_or_error(canonical_two_qubit_strings, params, L)
+            assert got == build_or_error(reference_two_qubit_strings, params, L)
+            if isinstance(got, str):
+                errors.add(got.split(" (")[0])
+        assert errors == {
+            "lattice-unrealisable parameters: " + what
+            for what in ("top +1 count", "top shift",
+                         "bottom(+) sub-block +1 count", "bottom(+) sub-block shift",
+                         "bottom(-) sub-block +1 count", "bottom(-) sub-block shift")}
 
     def test_sub_block_shifts(self):
         params = TwoQubitParams(top_ones=Fraction(1, 2),
