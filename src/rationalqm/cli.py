@@ -240,16 +240,64 @@ def cmd_itc(args) -> Tuple[Any, List[str]]:
 
 def cmd_scan_exceptions(args) -> Tuple[Any, List[str]]:
     """Triangles with side cosines p/q in (-1, 1), 2 <= q <= --max-den, and an
-    angle from --turns whose third side is rational yet not their product."""
+    angle from --turns whose third side is rational yet not their product.
+
+    Sides a and b have a rational third side at an angle with rational
+    cos^2 = c and cos != 0 exactly when (1 - a^2)(1 - b^2)c is a rational
+    square, that is when the squarefree kernels x of q^2 - p^2, y of b's and
+    z of c's numerator times denominator satisfy y = x*z / gcd(x, z)^2. Other
+    angles give an irrational third side, or a*b. So each a visits one bucket
+    of sides per angle, and spherical_third_side certifies each candidate.
+    """
+    from bisect import bisect_left
     if args.max_den < 2:
         raise ValueError(f"--max-den must be >= 2, got {args.max_den}")
     sides = [c for q in range(2, args.max_den + 1) for p in range(1 - q, q)
              if (c := Fraction(p, q)).denominator == q]
-    found = [{"cos_ab": a, "cos_bc": b, "turns": phi.turns, "third_side": third.rational}
-             for a in sides for b in sides if b.denominator >= a.denominator
-             for phi in args.turns
-             if (third := spherical_third_side(a, b, phi)).is_rational
-             and a * b != third.rational]
+    # Squarefree part of every k <= 2N, and of q^2 - p^2 = (q - p)(q + p).
+    top = 2 * args.max_den
+    kernel = list(range(top + 1))
+    for square in (i * i for i in range(2, math.isqrt(top) + 1)):
+        for k in range(square, top + 1, square):
+            while kernel[k] % square == 0:
+                kernel[k] //= square
+
+    def product_kernel(x: int, y: int) -> int:
+        g = math.gcd(x, y)
+        return (x // g) * (y // g)
+
+    side_kernels = [product_kernel(kernel[c.denominator - c.numerator],
+                                   kernel[c.denominator + c.numerator])
+                    for c in sides]
+    buckets: Dict[int, List[int]] = {}
+    for j, x in enumerate(side_kernels):
+        buckets.setdefault(x, []).append(j)
+    first_of_den: Dict[int, int] = {}
+    for j, c in enumerate(sides):
+        first_of_den.setdefault(c.denominator, j)
+    # cos^2 is 1 or 1/4 at a nonzero rational cosine, and b^2 * d at a surd
+    # b*sqrt(d), whose radicand niven_cosine gives as 2 or 3.
+    angle_kernels = []
+    for t, phi in enumerate(args.turns):
+        cert = niven_cosine(phi)
+        if cert.is_rational and cert.rational:
+            angle_kernels.append((t, 1))
+        elif cert.surd is not None:
+            angle_kernels.append((t, kernel[cert.surd.d.numerator]))
+
+    found = []
+    for i, a in enumerate(sides):
+        start = first_of_den[a.denominator]
+        candidates = []
+        for t, z in angle_kernels:
+            bucket = buckets.get(product_kernel(side_kernels[i], z), [])
+            candidates.extend((j, t) for j in bucket[bisect_left(bucket, start):])
+        for j, t in sorted(candidates):
+            b, phi = sides[j], args.turns[t]
+            third = spherical_third_side(a, b, phi)
+            if third.is_rational and a * b != third.rational:
+                found.append({"cos_ab": a, "cos_bc": b, "turns": phi.turns,
+                              "third_side": third.rational})
     lines = [f"cos_ab={t['cos_ab']}, cos_bc={t['cos_bc']}, "
              f"phi={t['turns']} turns -> {t['third_side']}" for t in found]
     lines.append(f"{len(found)} exceptional triangles found")

@@ -43,6 +43,7 @@ _COS_SQ_BY_DENOMINATOR = {
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+_SMALL_PRIMES_PRODUCT = math.prod(_SMALL_PRIMES)
 
 
 def _is_digits(text: str) -> bool:
@@ -115,12 +116,19 @@ class RationalAngle:
 def _extract_square_factor(n: int) -> tuple[int, int]:
     """Write n = s^2 * n0 with s as large as small-prime factoring finds.
 
-    The remainder n0 is guaranteed not to be a perfect square (final isqrt
-    check), which is all the Surd certificate requires; n0 need not be
-    squarefree.
+    Only the primes <= 97 that divide n are tried, read off
+    gcd(n, 2*3*...*97). The remainder n0 is guaranteed not to be a perfect
+    square (final isqrt check), which is all the Surd certificate requires;
+    n0 need not be squarefree.
     """
     s = 1
+    g = math.gcd(n, _SMALL_PRIMES_PRODUCT)
     for p in _SMALL_PRIMES:
+        if g == 1:
+            break
+        if g % p:
+            continue
+        g //= p
         p2 = p * p
         while n % p2 == 0:
             n //= p2
@@ -141,10 +149,11 @@ class Surd:
     d: Fraction
 
     def __post_init__(self):
-        if self.b != 0:
-            if self.d <= 0 or self.d.denominator != 1:
+        if self.b:
+            n = self.d.numerator
+            if n <= 0 or self.d.denominator != 1:
                 raise ValueError(f"surd radicand must be a positive integer, got {self.d}")
-            if math.isqrt(self.d.numerator) ** 2 == self.d.numerator:
+            if math.isqrt(n) ** 2 == n:
                 raise ValueError(f"surd radicand {self.d} is a perfect square")
 
 
@@ -199,15 +208,29 @@ class ExactCosine:
                 f"{sorted(RATIONAL_COS_SQ_DENOMINATORS)})")
 
 
-def _surd(a: Fraction, sign: int, p: int, q: int) -> ExactCosine:
-    """Certificate of a + sign*sqrt(p/q) for p/q > 0: rational exactly when
-    p*q is a perfect square, else a Surd over a non-square integer radicand."""
+def _surd(a_num: int, a_den: int, sign: int, p: int, q: int) -> ExactCosine:
+    """Certificate of a + sign*sqrt(p/q) for a = a_num/a_den and p/q > 0:
+    rational exactly when p*q is a perfect square, else a Surd over a
+    non-square integer radicand."""
     # sqrt(p/q) = sqrt(p*q) / q = (s/q) * sqrt(n0)
     s, n0 = _extract_square_factor(p * q)
-    b = sign * Fraction(s, q)
     if n0 == 1:
-        return ExactCosine.from_rational(a + b)
-    return ExactCosine(CosineKind.IRRATIONAL_SURD, surd=Surd(a, b, Fraction(n0)))
+        return ExactCosine.from_rational(
+            Fraction(a_num * q + sign * s * a_den, a_den * q))
+    return ExactCosine(CosineKind.IRRATIONAL_SURD,
+                       surd=Surd(Fraction(a_num, a_den), Fraction(sign * s, q),
+                                 Fraction(n0)))
+
+
+# Every certificate niven_cosine gives outside the Niven case, built once:
+# a rational keyed by its denominator d, a surd keyed by (d, cosine sign).
+# Certificates are frozen, so every call may share them.
+_NIVEN_TABLE = {
+    **{d: ExactCosine.from_rational(c) for d, c in _COS_BY_DENOMINATOR.items()},
+    **{(d, sign): _surd(0, 1, sign, c2.numerator, c2.denominator)
+       for d, c2 in _COS_SQ_BY_DENOMINATOR.items()
+       if d not in RATIONAL_COS_DENOMINATORS for sign in (1, -1)},
+}
 
 
 def niven_cosine(angle: RationalAngle) -> ExactCosine:
@@ -219,23 +242,22 @@ def niven_cosine(angle: RationalAngle) -> ExactCosine:
     """
     d = angle.denominator
     if d in RATIONAL_COS_DENOMINATORS:
-        return ExactCosine.from_rational(_COS_BY_DENOMINATOR[d])
-    c2 = _COS_SQ_BY_DENOMINATOR.get(d)
-    if c2 is None:
-        return ExactCosine.by_niven(angle)
-    return _surd(Fraction(0), angle.cosine_sign(), c2.numerator, c2.denominator)
+        return _NIVEN_TABLE[d]
+    if d in RATIONAL_COS_SQ_DENOMINATORS:
+        return _NIVEN_TABLE[d, angle.cosine_sign()]
+    return ExactCosine.by_niven(angle)
 
 
-def _check_cosine_range(name: str, value: Fraction) -> Fraction:
-    # Exact input only, as for RationalAngle: an int or a Fraction.
-    if not isinstance(value, Fraction):
-        if not isinstance(value, int):
-            raise TypeError(
-                f"{name} must be an int or a Fraction, got {type(value).__name__}")
-        value = Fraction(value)
-    if abs(value.numerator) > value.denominator:
+def _cosine_terms(name: str, value: Fraction) -> tuple[int, int]:
+    """Numerator and denominator of a side cosine, checked to be exact (an
+    int or a Fraction, as for RationalAngle) and to lie in [-1, 1]."""
+    if not isinstance(value, (Fraction, int)):
+        raise TypeError(
+            f"{name} must be an int or a Fraction, got {type(value).__name__}")
+    p, q = value.numerator, value.denominator
+    if abs(p) > q:
         raise ValueError(f"|{name}| must be <= 1, got {value}")
-    return value
+    return p, q
 
 
 def spherical_third_side(cos_ab: Fraction, cos_bc: Fraction,
@@ -247,25 +269,22 @@ def spherical_third_side(cos_ab: Fraction, cos_bc: Fraction,
     where phi_C is the interior angle at the shared vertex and the sines are
     the nonnegative roots of rational quantities.
     """
-    return _third_side(_check_cosine_range("cos_ab", cos_ab),
-                       _check_cosine_range("cos_bc", cos_bc), phi_c)
+    return _third_side(*_cosine_terms("cos_ab", cos_ab),
+                       *_cosine_terms("cos_bc", cos_bc), phi_c)
 
 
-def _third_side(cos_ab: Fraction, cos_bc: Fraction,
+def _third_side(p: int, q: int, u: int, v: int,
                 phi_c: RationalAngle) -> ExactCosine:
-    """spherical_third_side on cosines already checked to lie in [-1, 1].
+    """spherical_third_side for cos_ab = p/q and cos_bc = u/v, already
+    checked to lie in [-1, 1].
 
-    With cos_ab = p/q and cos_bc = u/v, the sine product squared is
-    r = (q^2 - p^2)(v^2 - u^2) / (qv)^2; it stays in integers and becomes a
-    Fraction only where it enters the certificate.
+    The sine product squared is r = (q^2 - p^2)(v^2 - u^2) / (qv)^2; it stays
+    in integers and becomes a Fraction only where it enters the certificate.
     """
-    p, q = cos_ab.numerator, cos_ab.denominator
-    u, v = cos_bc.numerator, cos_bc.denominator
-    base = Fraction(p * u, q * v)
     r_num = (q * q - p * p) * (v * v - u * u)
     if r_num == 0:
         # A pole: one sine factor vanishes, third side rational regardless.
-        return ExactCosine.from_rational(base)
+        return ExactCosine.from_rational(Fraction(p * u, q * v))
     r_den = (q * v) ** 2
 
     c2 = _COS_SQ_BY_DENOMINATOR.get(phi_c.denominator)
@@ -273,16 +292,16 @@ def _third_side(cos_ab: Fraction, cos_bc: Fraction,
         # Generic case: cos^2 phi_C irrational, so sqrt(r) * cos phi_C cannot
         # be rational (its square r * cos^2 phi_C would force cos^2 phi_C
         # rational).
-        return ExactCosine.by_niven(phi_c, cross_base=base,
+        return ExactCosine.by_niven(phi_c, cross_base=Fraction(p * u, q * v),
                                     cross_radicand=Fraction(r_num, r_den))
     sign = phi_c.cosine_sign()
     if sign == 0:
-        return ExactCosine.from_rational(base)
+        return ExactCosine.from_rational(Fraction(p * u, q * v))
     # cos phi_C = sign * sqrt(c2); the second term is sign * sqrt(r * c2),
     # rational iff r * c2 is a perfect square.
     n, d = r_num * c2.numerator, r_den * c2.denominator
     g = math.gcd(n, d)
-    return _surd(base, sign, n // g, d // g)
+    return _surd(p * u, q * v, sign, n // g, d // g)
 
 
 @dataclass(frozen=True)
@@ -299,13 +318,12 @@ def itc_verdict(cos_ab: Fraction, cos_bc: Fraction,
                 phi_c: RationalAngle) -> TriangleVerdict:
     """Impossible-triangle check: decide whether the configuration admits a
     rational third-side cosine, with a checkable certificate either way."""
-    cos_ab = _check_cosine_range("cos_ab", cos_ab)
-    cos_bc = _check_cosine_range("cos_bc", cos_bc)
-    if (abs(cos_ab.numerator) == cos_ab.denominator
-            or abs(cos_bc.numerator) == cos_bc.denominator):
-        third = ExactCosine.from_rational(cos_ab * cos_bc)
+    p, q = _cosine_terms("cos_ab", cos_ab)
+    u, v = _cosine_terms("cos_bc", cos_bc)
+    if abs(p) == q or abs(u) == v:
+        third = ExactCosine.from_rational(Fraction(p * u, q * v))
         return TriangleVerdict(possible=True, third_side=third, reason="degenerate")
-    third = _third_side(cos_ab, cos_bc, phi_c)
+    third = _third_side(p, q, u, v, phi_c)
     if third.is_rational:
         return TriangleVerdict(
             possible=True, third_side=third,

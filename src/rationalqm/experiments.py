@@ -304,10 +304,14 @@ def _singlet_product_sum(L: int, k: int, trials: int,
 
 def _singlet_pair_correlation(relative_turns: Fraction, L: int, trials: int,
                               stream_seed: int, label: str) -> PairStats:
-    nominal_cos = math.cos(2 * math.pi * float(relative_turns))
-    # Only a rational cosine can tie in the snap: round it exact, not as a float.
+    # A rational cosine is reported and snapped exact: only it can tie in
+    # the snap, and math.cos can miss it by an ulp.
     cert = niven_cosine(RationalAngle(relative_turns))
-    target = cert.rational if cert.is_rational else nominal_cos
+    if cert.is_rational:
+        target = cert.rational
+        nominal_cos = float(target)
+    else:
+        target = nominal_cos = math.cos(2 * math.pi * float(relative_turns))
     point = snap_to_lattice(target, L)
     snapped_cos = point.cos_theta
 

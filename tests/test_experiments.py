@@ -370,6 +370,17 @@ class TestBellHarness:
             assert -1 <= p.correlation <= 1
             assert p.trials == 500
 
+    def test_rational_nominal_cosines_are_exact(self):
+        # at the README angles every relative turn has a rational cosine,
+        # and math.cos would give 0.5000000000000001 and -0.5000000000000004
+        report = bell_run(Fraction(0), Fraction(1, 6), Fraction(1, 3), 360, 100, 7)
+        assert [p.nominal_cos for p in report.pairs] == [0.5, -0.5, 0.5]
+        assert [p.predicted_nominal for p in report.pairs] == [-0.5, 0.5, -0.5]
+        assert report.bell_quantity_nominal == 1.5
+        niven = bell_run(Fraction(0), Fraction(1, 5), Fraction(2, 7), 1024, 100, 3)
+        assert [p.nominal_cos for p in niven.pairs] == [
+            math.cos(2 * math.pi * float(p.relative_turns)) for p in niven.pairs]
+
     def test_rejects_negative_seed(self):
         # random.Random seeds with abs(), so seed -1 would replay seed 1's
         # AB stream (pair seeds -1000003 and 1000003)

@@ -1,0 +1,55 @@
+"""`scan-exceptions` visits one bucket of sides per side and angle; the plain
+double loop over every pair of sides and every angle is the reference."""
+
+from argparse import Namespace
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rationalqm.cli import cmd_scan_exceptions
+from rationalqm.exact import RationalAngle, spherical_third_side
+
+
+def reference_scan(max_den: int, turns: list) -> list:
+    sides = [c for q in range(2, max_den + 1) for p in range(1 - q, q)
+             if (c := Fraction(p, q)).denominator == q]
+    return [{"cos_ab": a, "cos_bc": b, "turns": phi.turns, "third_side": third.rational}
+            for a in sides for b in sides if b.denominator >= a.denominator
+            for phi in turns
+            if (third := spherical_third_side(a, b, phi)).is_rational
+            and a * b != third.rational]
+
+
+def scan(max_den: int, turns: list) -> list:
+    report, _ = cmd_scan_exceptions(Namespace(max_den=max_den, turns=turns))
+    return report["triangles"]
+
+
+def angles(text: str) -> list:
+    return [RationalAngle(Fraction(part)) for part in text.split(",")]
+
+
+TURN_SETS = {
+    "default": "1/8,3/8,1/12,5/12",
+    "rational-cos-sq": "0,1/2,1/3,2/3,1/4,3/4,1/6,5/6,1/8,5/8,7/8,7/12,11/12",
+    "mixed-with-repeats": "1/5,1/8,2/7,1/10,1/8,1/6,1/24,5/12,1/3",
+    "irrational-cos-sq": "1/5,1/7,1/9,1/10,1/16,1/24",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TURN_SETS))
+def test_matches_the_double_loop_up_to_12(name):
+    turns = angles(TURN_SETS[name])
+    for max_den in range(2, 13):
+        assert scan(max_den, turns) == reference_scan(max_den, turns), max_den
+
+
+@settings(max_examples=40, deadline=None)
+@given(max_den=st.integers(2, 9),
+       turns=st.lists(st.builds(Fraction, st.integers(0, 24), st.integers(1, 24)),
+                      min_size=1, max_size=5))
+def test_matches_the_double_loop_on_random_turn_sets(max_den, turns):
+    angles = [RationalAngle(t) for t in turns]
+    assert scan(max_den, angles) == reference_scan(max_den, angles)
