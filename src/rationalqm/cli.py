@@ -242,19 +242,18 @@ def cmd_scan_exceptions(args) -> Tuple[Any, List[str]]:
     """Triangles with side cosines p/q in (-1, 1), 2 <= q <= --max-den, and an
     angle from --turns whose third side is rational yet not their product.
 
-    Sides a and b have a rational third side at an angle with rational
-    cos^2 = c and cos != 0 exactly when (1 - a^2)(1 - b^2)c is a rational
-    square, that is when the squarefree kernels x of q^2 - p^2, y of b's and
-    z of c's numerator times denominator satisfy y = x*z / gcd(x, z)^2. Other
-    angles give an irrational third side, or a*b. So each a visits one bucket
-    of sides per angle, and spherical_third_side certifies each candidate.
+    At an angle with rational cos^2 = c and cos != 0, sides a = p/q and b
+    have a rational third side exactly when b's kernel (the squarefree part
+    of v^2 - u^2 for b = u/v) is that of x*z, with x the kernel of q^2 - p^2
+    and z that of c's numerator times denominator. Other angles give an
+    irrational third side, or a*b. So each a visits one bucket of sides per
+    angle, and spherical_third_side certifies each candidate.
     """
-    from bisect import bisect_left
     if args.max_den < 2:
         raise ValueError(f"--max-den must be >= 2, got {args.max_den}")
     sides = [c for q in range(2, args.max_den + 1) for p in range(1 - q, q)
              if (c := Fraction(p, q)).denominator == q]
-    # Squarefree part of every k <= 2N, and of q^2 - p^2 = (q - p)(q + p).
+    # Squarefree part of every k <= 2N, and so of q^2 - p^2 = (q - p)(q + p).
     top = 2 * args.max_den
     kernel = list(range(top + 1))
     for square in (i * i for i in range(2, math.isqrt(top) + 1)):
@@ -272,9 +271,6 @@ def cmd_scan_exceptions(args) -> Tuple[Any, List[str]]:
     buckets: Dict[int, List[int]] = {}
     for j, x in enumerate(side_kernels):
         buckets.setdefault(x, []).append(j)
-    first_of_den: Dict[int, int] = {}
-    for j, c in enumerate(sides):
-        first_of_den.setdefault(c.denominator, j)
     # cos^2 is 1 or 1/4 at a nonzero rational cosine, and b^2 * d at a surd
     # b*sqrt(d), whose radicand niven_cosine gives as 2 or 3.
     angle_kernels = []
@@ -286,13 +282,12 @@ def cmd_scan_exceptions(args) -> Tuple[Any, List[str]]:
             angle_kernels.append((t, kernel[cert.surd.d.numerator]))
 
     found = []
-    for i, a in enumerate(sides):
-        start = first_of_den[a.denominator]
-        candidates = []
-        for t, z in angle_kernels:
-            bucket = buckets.get(product_kernel(side_kernels[i], z), [])
-            candidates.extend((j, t) for j in bucket[bisect_left(bucket, start):])
-        for j, t in sorted(candidates):
+    for a, x in zip(sides, side_kernels):
+        # A bucket side of smaller denominator is the mirror of a listed
+        # pair, so skipping those costs no more than the output.
+        for j, t in sorted((j, t) for t, z in angle_kernels
+                           for j in buckets.get(product_kernel(x, z), ())
+                           if sides[j].denominator >= a.denominator):
             b, phi = sides[j], args.turns[t]
             third = spherical_third_side(a, b, phi)
             if third.is_rational and a * b != third.rational:

@@ -1,5 +1,5 @@
 """The integer kernel of the certificates: `_extract_square_factor` against
-the plain 25-prime loop it replaced, the nine tabled `niven_cosine`
+a plain loop over all 25 primes up to 97, the nine tabled `niven_cosine`
 certificates against freshly built ones, and the `Surd` radicand checks."""
 
 import dataclasses
