@@ -143,8 +143,8 @@ def build_manifest(args: argparse.Namespace, outputs: List[str]) -> Dict[str, An
 
 
 def emit(args: argparse.Namespace, report: Any, summary_lines: List[str]) -> None:
+    outputs = [str(args.csv)] if getattr(args, "csv", None) else []
     if getattr(args, "json", None) is not None:
-        outputs = [str(args.csv)] if getattr(args, "csv", None) else []
         chunks = json_chunks({
             "schema_version": SCHEMA_VERSION,
             "manifest": build_manifest(args, outputs),
@@ -156,7 +156,7 @@ def emit(args: argparse.Namespace, report: Any, summary_lines: List[str]) -> Non
         else:
             with open(args.json, "w") as fh:
                 fh.writelines(chunks)
-    for line in summary_lines:
+    for line in summary_lines + [f"csv written to {path}" for path in outputs]:
         print(line)
 
 
@@ -221,8 +221,6 @@ def cmd_sphere(args) -> Tuple[Any, List[str]]:
                            "bits": bits} for p, bits in points]
         lines += [f"  m={p.m:>2} n={p.n:>2} cos_theta={p.cos_theta}  {_signs(bits)}"
                   for p, bits in points]
-    if args.csv:
-        lines.append(f"csv written to {args.csv}")
     return report, lines
 
 
@@ -416,8 +414,6 @@ def cmd_bell(args) -> Tuple[Any, List[str]]:
     lines.append(f"Bell quantity = {report.bell_quantity:.4f} "
                  f"(nominal prediction {report.bell_quantity_nominal:.4f}; "
                  f"bound 1 {'violated' if report.violates else 'respected'})")
-    if args.csv:
-        lines.append(f"csv written to {args.csv}")
     return report, lines
 
 

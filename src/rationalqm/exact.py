@@ -26,19 +26,13 @@ _COS_BY_DENOMINATOR = {
     6: Fraction(1, 2),
 }
 
-# Reduced turn-denominators at which cos(phi) is itself rational.
-RATIONAL_COS_DENOMINATORS = frozenset(_COS_BY_DENOMINATOR)
-
-# Reduced turn-denominators at which cos^2(phi) is rational; the extra
-# members come from the half-angle identity cos^2(phi) = (1 + cos 2phi)/2.
-RATIONAL_COS_SQ_DENOMINATORS = frozenset({1, 2, 3, 4, 6, 8, 12})
-
-# cos^2(2pi * n/d) for reduced n/d with d in RATIONAL_COS_SQ_DENOMINATORS,
-# by the half-angle identity: the doubled angle 2n/d has reduced denominator
-# d for odd d and d/2 for even d, since gcd(n, d) = 1.
+# cos^2(2pi * n/d) for reduced n/d, rational exactly at these d: the keys
+# above and, by the half-angle identity cos^2(phi) = (1 + cos 2phi)/2, 8 and
+# 12. The doubled angle 2n/d has reduced denominator d for odd d and d/2 for
+# even d, since gcd(n, d) = 1.
 _COS_SQ_BY_DENOMINATOR = {
     d: (1 + _COS_BY_DENOMINATOR[d if d % 2 else d // 2]) / 2
-    for d in RATIONAL_COS_SQ_DENOMINATORS
+    for d in (1, 2, 3, 4, 6, 8, 12)
 }
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -186,7 +180,7 @@ class ExactCosine:
     def by_niven(cls, witness: RationalAngle,
                  cross_base: Optional[Fraction] = None,
                  cross_radicand: Optional[Fraction] = None) -> "ExactCosine":
-        if witness.denominator in RATIONAL_COS_SQ_DENOMINATORS:
+        if witness.denominator in _COS_SQ_BY_DENOMINATOR:
             raise ValueError(
                 f"witness {witness.turns} has rational cosine-squared; "
                 "not a valid irrationality certificate")
@@ -205,7 +199,7 @@ class ExactCosine:
             return f"{s.a} + {s.b}*sqrt({s.d}) (irrational surd)"
         return (f"irrational: cos^2 of {self.witness.turns} turn is irrational "
                 f"(reduced denominator {self.witness.denominator} not in "
-                f"{sorted(RATIONAL_COS_SQ_DENOMINATORS)})")
+                f"{sorted(_COS_SQ_BY_DENOMINATOR)})")
 
 
 def _surd(a_num: int, a_den: int, sign: int, p: int, q: int) -> ExactCosine:
@@ -229,7 +223,7 @@ _NIVEN_TABLE = {
     **{d: ExactCosine.from_rational(c) for d, c in _COS_BY_DENOMINATOR.items()},
     **{(d, sign): _surd(0, 1, sign, c2.numerator, c2.denominator)
        for d, c2 in _COS_SQ_BY_DENOMINATOR.items()
-       if d not in RATIONAL_COS_DENOMINATORS for sign in (1, -1)},
+       if d not in _COS_BY_DENOMINATOR for sign in (1, -1)},
 }
 
 
@@ -241,9 +235,9 @@ def niven_cosine(angle: RationalAngle) -> ExactCosine:
     otherwise certified irrational with the angle itself as witness.
     """
     d = angle.denominator
-    if d in RATIONAL_COS_DENOMINATORS:
+    if d in _COS_BY_DENOMINATOR:
         return _NIVEN_TABLE[d]
-    if d in RATIONAL_COS_SQ_DENOMINATORS:
+    if d in _COS_SQ_BY_DENOMINATOR:
         return _NIVEN_TABLE[d, angle.cosine_sign()]
     return ExactCosine.by_niven(angle)
 
@@ -320,10 +314,9 @@ def itc_verdict(cos_ab: Fraction, cos_bc: Fraction,
     rational third-side cosine, with a checkable certificate either way."""
     p, q = _cosine_terms("cos_ab", cos_ab)
     u, v = _cosine_terms("cos_bc", cos_bc)
-    if abs(p) == q or abs(u) == v:
-        third = ExactCosine.from_rational(Fraction(p * u, q * v))
-        return TriangleVerdict(possible=True, third_side=third, reason="degenerate")
     third = _third_side(p, q, u, v, phi_c)
+    if abs(p) == q or abs(u) == v:  # a pole: _third_side gave (p/q)(u/v)
+        return TriangleVerdict(possible=True, third_side=third, reason="degenerate")
     if third.is_rational:
         return TriangleVerdict(
             possible=True, third_side=third,

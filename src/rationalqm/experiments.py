@@ -259,14 +259,6 @@ def _pair_seed(seed: int, index: int) -> int:
 _MAX_LANES = 1 << 12
 
 
-def _draw_bits(L: int) -> int:
-    k = L.bit_length()
-    if k > 31:
-        raise ValueError(f"L = {L} needs {k} bits per draw; at most 31 fit "
-                         f"a 32-bit lane with its carry bit")
-    return k
-
-
 def _singlet_product_sum(L: int, k: int, trials: int,
                          rng: random.Random) -> int:
     """Return sum(-1 if k <= rng.randrange(L) < L - k else 1
@@ -283,7 +275,7 @@ def _singlet_product_sum(L: int, k: int, trials: int,
     carries count the draws below L, and the carries of the XOR of the sums
     for k and L - k those in [k, L - k). No round draws past the last trial.
     """
-    b = _draw_bits(L)
+    b = L.bit_length()  # bell_run keeps b <= 31
     total = lanes = 0
     while trials > 0:
         n = min(trials, _MAX_LANES)
@@ -339,7 +331,9 @@ def bell_run(nominal_a: Fraction, nominal_b: Fraction, nominal_c: Fraction,
     if trials_per_pair < 100:
         raise ValueError(
             f"trials_per_pair = {trials_per_pair} < 100 is statistically meaningless")
-    _draw_bits(L)  # an L too wide for a lane is reported before the seed
+    if L.bit_length() > 31:  # an L too wide for a lane is reported before the seed
+        raise ValueError(f"L = {L} needs {L.bit_length()} bits per draw; at most "
+                         f"31 fit a 32-bit lane with its carry bit")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     labels = [("AB", nominal_a, nominal_b),

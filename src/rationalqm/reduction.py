@@ -16,10 +16,6 @@ from typing import List, Sequence
 from .lattice import validate_bits
 
 
-class AlreadyReducedError(ValueError):
-    """The integer pair has width 1 and cannot be halved further."""
-
-
 @dataclass(frozen=True)
 class IntegerPair:
     plus: int
@@ -52,13 +48,6 @@ def to_integer_pair(s: Sequence[int]) -> IntegerPair:
     return IntegerPair(plus=plus, width=len(bits))
 
 
-def reduce_step(p: IntegerPair) -> IntegerPair:
-    """Divide both integers by two (truncating the last base-2 digit)."""
-    if p.width < 2:
-        raise AlreadyReducedError("width-1 pair is already fully reduced")
-    return IntegerPair(plus=p.plus >> 1, width=p.width - 1)
-
-
 @dataclass(frozen=True)
 class ReductionTrace:
     """The halving dynamics from `initial` down to width 1.
@@ -76,12 +65,9 @@ class ReductionTrace:
 
     @property
     def steps(self) -> List[IntegerPair]:
-        pair = self.initial
-        steps = [pair]
-        while pair.width > 1:
-            pair = reduce_step(pair)
-            steps.append(pair)
-        return steps
+        # Step k halves both integers k times: the first width - k digits.
+        plus, width = self.initial.plus, self.initial.width
+        return [IntegerPair(plus=plus >> k, width=width - k) for k in range(width)]
 
 
 def measure(s: Sequence[int]) -> ReductionTrace:

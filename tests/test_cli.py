@@ -12,7 +12,7 @@ import pytest
 from rationalqm import cli
 from rationalqm.cli import main, parse_config_file, to_jsonable
 from rationalqm.lattice import PNO, LatticePoint
-from rationalqm.reduction import reduce_step, to_integer_pair
+from rationalqm.reduction import IntegerPair, to_integer_pair
 from rationalqm.states import make_qubit
 
 
@@ -28,7 +28,7 @@ def reference_measure_report(m, n, L, seed):
     pair = to_integer_pair(state.string)
     steps = [pair]
     while pair.width > 1:
-        pair = reduce_step(pair)
+        pair = IntegerPair(plus=pair.plus >> 1, width=pair.width - 1)
         steps.append(pair)
     trace = []
     for step in steps:
@@ -63,11 +63,23 @@ class TestSubcommands:
         assert code == 0
         assert "irrational" in out
 
+    def test_niven_full_turn_reported_as_zero(self, capsys):
+        code, out, _ = run(capsys, "niven", "--turns", "1", "--json", "-")
+        payload, end = json.JSONDecoder().raw_decode(out)
+        assert code == 0 and payload["report"]["turns"] == "0/1"
+        assert out[end:].strip() == "cos phi = 1 (rational)"
+
     def test_itc(self, capsys):
         code, out, _ = run(capsys, "itc", "--cos-ab", "3/5", "--cos-bc", "4/5",
                            "--turns", "1/360")
         assert code == 0
         assert "possible = False" in out
+
+    def test_itc_degenerate_third_side(self, capsys):
+        code, out, _ = run(capsys, "itc", "--cos-ab", "1", "--cos-bc", "3/5",
+                           "--turns", "1/5")
+        assert code == 0
+        assert "third side: 3/5 (rational)" in out.splitlines()
 
     def test_state_qubit(self, capsys):
         code, out, _ = run(capsys, "state", "--m", "2", "--n", "0", "--L", "4",
@@ -225,6 +237,19 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert message in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("bell", "--config", "{cfg}"), "unknown config key 'bogus'"),
+        (("uncertainty", "--cosines", "0,1"), "need exactly three direction cosines"),
+        (("uncertainty", "--samples", "0"), "M must be >= 1, got 0"),
+        (("state", "--singlet-cos", "2", "--L", "8", "--seed", "1"),
+         "|cos theta_AB| must be <= 1, got 2"),
+    ], ids=["config-key", "three-cosines", "samples", "singlet-cos"])
+    def test_guard_message_exits_2(self, capsys, tmp_path, argv, message):
+        cfg = tmp_path / "bell.cfg"
+        cfg.write_text("angles = 0,1/6,1/3\nbogus = 1\n")
+        code, out, err = run(capsys, *(arg.format(cfg=cfg) for arg in argv))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_empty_cosines_rejected(self, capsys):
         code, out, err = run(capsys, "uncertainty", "--cosines", "")

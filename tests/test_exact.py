@@ -8,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rationalqm.exact import (CosineKind, ExactCosine,
-                              RATIONAL_COS_DENOMINATORS,
-                              RATIONAL_COS_SQ_DENOMINATORS, RationalAngle,
-                              Surd, itc_verdict, niven_cosine, parse_fraction,
+from rationalqm.exact import (CosineKind, ExactCosine, RationalAngle, Surd,
+                              itc_verdict, niven_cosine, parse_fraction,
                               spherical_third_side)
 
 from certificates import certified_cos_squared
 
 TOL = mpmath.mpf(2) ** -150
+
+# Niven's theorem, stated here rather than read from the module: the reduced
+# turn-denominators at which cos, and cos^2, of a rational turn is rational.
+RATIONAL_COS_DENOMINATORS = {1, 2, 3, 4, 6}
+RATIONAL_COS_SQ_DENOMINATORS = {1, 2, 3, 4, 6, 8, 12}
 
 
 def numeric_cos(turns: Fraction) -> mpmath.mpf:
@@ -210,6 +213,12 @@ class TestItcVerdict:
         v = itc_verdict(Fraction(1), Fraction(1, 3), RationalAngle(Fraction(1, 7)))
         assert v.possible and v.reason == "degenerate"
 
+    def test_degenerate_third_side_is_the_product(self):
+        # at a pole the third side is cos_ab * cos_bc, whatever the angle
+        v = itc_verdict(Fraction(1), Fraction(3, 5), RationalAngle(Fraction(1, 5)))
+        assert v.possible and v.reason == "degenerate"
+        assert v.third_side == ExactCosine.from_rational(Fraction(3, 5))
+
     def test_radicand_keeps_square_factors_of_large_primes(self):
         # 73119686694 = 101^2 * 7167894; only primes up to 97 are divided out
         v = itc_verdict(Fraction(0), Fraction(15301, 15302), RationalAngle(Fraction(1, 8)))
@@ -232,6 +241,11 @@ class TestRationalAngle:
     def test_normalised_to_unit_interval(self):
         assert RationalAngle(Fraction(7, 6)).turns == Fraction(1, 6)
         assert RationalAngle(Fraction(-1, 6)).turns == Fraction(5, 6)
+
+    def test_full_turn_is_zero(self):
+        # [0, 1) is half-open: a full turn is turn 0, given as an int or not
+        assert RationalAngle(Fraction(1)).turns == 0
+        assert RationalAngle(1).turns == 0
 
     def test_cosine_sign(self):
         assert RationalAngle(Fraction(1, 8)).cosine_sign() == 1

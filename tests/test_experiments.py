@@ -361,6 +361,10 @@ class TestBellHarness:
         with pytest.raises(ValueError, match="at most 31"):
             bell_run(Fraction(0), Fraction(1, 6), Fraction(1, 3), 2 ** 31, 100, 1)
 
+    def test_lane_width_is_checked_before_the_seed(self):
+        with pytest.raises(ValueError, match="at most 31"):
+            bell_run(Fraction(0), Fraction(1, 6), Fraction(1, 3), 2 ** 31, 100, -1)
+
     def test_small_run_structure(self):
         report = bell_run(Fraction(0), Fraction(1, 6), Fraction(1, 3),
                           360, 500, seed=3)
@@ -502,10 +506,6 @@ class TestUniformPositionSum:
             assert (_singlet_product_sum(L, k, trials, bulk)
                     == reference_interval_sum(L, k, trials, loop))
             assert bulk.getstate() == loop.getstate()
-
-    def test_rejects_draws_wider_than_a_lane(self):
-        with pytest.raises(ValueError, match="at most 31"):
-            _singlet_product_sum(2 ** 31, 0, 1, random.Random(0))
 
 
 class TestBellSum:

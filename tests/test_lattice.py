@@ -101,6 +101,10 @@ class TestPNO:
         with pytest.raises(ValueError):
             PNO((0, 0), (1, 1))
 
+    def test_signs_must_be_plus_or_minus_one(self):
+        with pytest.raises(ValueError, match="signs must be"):
+            PNO(perm=(1, 0), signs=(1, 0))
+
 
 class TestZeta:
     def test_single_step(self):
@@ -109,6 +113,13 @@ class TestZeta:
     def test_full_cycle_is_identity(self):
         s = (1, -1, -1, 1, 1)
         assert zeta(s, 5) == s
+
+    def test_empty_string_is_its_own_shift(self):
+        assert zeta((), 3) == ()
+
+    def test_ones_fraction_of_empty_string_rejected(self):
+        with pytest.raises(ValueError, match="empty bit string"):
+            ones_fraction(())
 
     @given(bits_strategy, st.integers(min_value=0, max_value=200),
            st.integers(min_value=0, max_value=200))
@@ -141,6 +152,10 @@ class TestLatticePoint:
             LatticePoint(5, 0, 4)
         with pytest.raises(ValueError):
             LatticePoint(2, 4, 4)
+
+    def test_block_needs_m_within_L(self):
+        with pytest.raises(ValueError, match="m must be in"):
+            block_string(5, 4)
 
     def test_canonical_bitstring(self):
         assert canonical_bitstring(LatticePoint(2, 0, 4)) == (1, 1, -1, -1)
@@ -228,6 +243,10 @@ class TestInterpolatedCircle:
         circle = interpolated_circle(5)
         lats = [2 * ones_fraction(s) - 1 for s in circle]
         assert lats == [Fraction(2 * m - 5, 5) for m in range(5, -1, -1)]
+
+    def test_needs_L_at_least_2(self):
+        with pytest.raises(ValueError, match="L must be >= 2, got 1"):
+            interpolated_circle(1)
 
 
 class TestLatticeEnumeration:

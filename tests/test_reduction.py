@@ -6,19 +6,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rationalqm.lattice import PNO, LatticePoint
-from rationalqm.reduction import (AlreadyReducedError, IntegerPair, measure,
-                                  reduce_step, to_integer_pair)
+from rationalqm.reduction import IntegerPair, measure, to_integer_pair
 from rationalqm.states import make_qubit
 
 bits_strategy = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=64).map(tuple)
 
 
+def halve(p):
+    """One halving step: both integers lose their last base-2 digit."""
+    return IntegerPair(plus=p.plus >> 1, width=p.width - 1)
+
+
 def eager_halving_chain(s):
-    """Every pair of the halving dynamics, built up front."""
+    """Every pair of the halving dynamics, built up front one step at a time."""
     pair = to_integer_pair(s)
     chain = [pair]
     while pair.width > 1:
-        pair = reduce_step(pair)
+        pair = halve(pair)
         chain.append(pair)
     return chain
 
@@ -28,6 +32,10 @@ class TestIntegerPair:
         p = to_integer_pair((1, -1, -1, 1))
         assert (p.plus, p.minus, p.width) == (0b1001, 0b0110, 4)
         assert p.bit_strings() == ("1001", "0110")
+
+    def test_width_at_least_one(self):
+        with pytest.raises(ValueError, match="width must be >= 1, got 0"):
+            IntegerPair(plus=0, width=0)
 
     def test_complementarity_enforced(self):
         # minus is derived from plus, so the stored fact to check is that
@@ -70,13 +78,8 @@ class TestIntegerPair:
 
 class TestReduction:
     def test_single_step_halves_both(self):
-        p = to_integer_pair((1, -1, -1, 1))
-        q = reduce_step(p)
+        q = measure((1, -1, -1, 1)).steps[1]
         assert (q.plus, q.minus, q.width) == (0b100, 0b011, 3)
-
-    def test_width_one_cannot_reduce(self):
-        with pytest.raises(AlreadyReducedError):
-            reduce_step(IntegerPair(plus=1, width=1))
 
     def test_trace_display(self):
         trace = measure((1, -1, -1, 1))
@@ -139,4 +142,4 @@ class TestTwoAdic:
         p = to_integer_pair((1, -1, -1, 1, 1, -1))
         q = to_integer_pair((1, -1, -1, 1, -1, 1))
         assert p.plus != q.plus
-        assert reduce_step(reduce_step(p)).plus == reduce_step(reduce_step(q)).plus
+        assert halve(halve(p)).plus == halve(halve(q)).plus

@@ -1,7 +1,8 @@
 """Rules on the source itself: invariants in `src/` raise real exceptions,
 because `python -O` strips `assert` statements; every public name, method and
-property in `src/` is there for the program, not only for its unit tests; and
-no module imports mpmath, which only the tests use as an oracle."""
+property in `src/` is there for the program, not only for its unit tests, and
+every private module-level name is used in `src/`; and no module imports
+mpmath, which only the tests use as an oracle."""
 
 import ast
 from collections import Counter
@@ -30,18 +31,28 @@ def _used_names(node: ast.AST) -> Counter:
                    for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
 
 
-def _public_definitions(tree: ast.Module):
-    """(name, name, node) for each public function, class and assigned name
-    at module level."""
+def _module_definitions(tree: ast.Module):
+    """(name, name, node) for each function, class and assigned name at
+    module level."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            names = [t.id for target in targets for t in ast.walk(target)
+                     if isinstance(t, ast.Name)]
         else:
             continue
-        yield from ((name, name, node) for name in names if not name.startswith("_"))
+        yield from ((name, name, node) for name in names)
+
+
+def _public_definitions(tree: ast.Module):
+    return (d for d in _module_definitions(tree) if not d[0].startswith("_"))
+
+
+def _private_definitions(tree: ast.Module):
+    return (d for d in _module_definitions(tree)
+            if d[0].startswith("_") and not d[0].endswith("__"))
 
 
 def _public_members(tree: ast.Module):
@@ -55,16 +66,16 @@ def _public_members(tree: ast.Module):
                         and not node.name.startswith("_"))
 
 
-def _unreached(definitions) -> set:
+def _unreached(definitions, exempt=("tests/test_acceptance.py",)) -> set:
     """Labels of the definitions whose name is used in `src/` only inside the
-    definition itself, and not at all in the acceptance test. Names are
+    definition itself, and not at all in the `exempt` files. Names are
     matched as names, so a member that shares its name with anything else
     used in `src/` counts as reached."""
     trees = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
     used = sum((_used_names(tree) for tree in trees), Counter())
-    acceptance = _used_names(_parse(ROOT / "tests" / "test_acceptance.py"))
+    outside = sum((_used_names(_parse(ROOT / f)) for f in exempt), Counter())
     return {label for tree in trees for label, name, node in definitions(tree)
-            if used[name] == _used_names(node)[name] and name not in acceptance}
+            if used[name] == _used_names(node)[name] and name not in outside}
 
 
 def test_public_names_are_reached_outside_the_unit_tests():
@@ -73,6 +84,11 @@ def test_public_names_are_reached_outside_the_unit_tests():
 
 def test_public_members_are_reached_outside_the_unit_tests():
     assert _unreached(_public_members) == set()
+
+
+def test_private_names_are_used_in_src():
+    # a private helper that only a test keeps alive is dead code
+    assert _unreached(_private_definitions, exempt=()) == set()
 
 
 def _imports_mpmath(node: ast.AST) -> bool:
