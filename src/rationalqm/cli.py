@@ -46,44 +46,31 @@ def to_jsonable(obj: Any) -> Any:
 _PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
 def json_chunks(obj: Any) -> List[str]:
     """Pieces whose concatenation is `json.dumps(obj, indent=2, sort_keys=True,
     default=to_jsonable)`, byte for byte, except that a dict key that is not
     a string raises TypeError. A list of ints, or of strings that need no
     escaping, is written 64 items to a piece, so no piece but a single long
     string grows with the report."""
+    from json import dumps
     from json.encoder import encode_basestring_ascii
     chunks: List[str] = []
-    _write_json(obj, "\n", chunks.append, encode_basestring_ascii)
+    _write_json(obj, "\n", chunks.append, encode_basestring_ascii, dumps)
     return chunks
 
 
 def _write_json(o: Any, newline: str, append: Callable[[str], None],
-                quote: Callable[[str], str]) -> None:
+                quote: Callable[[str], str], scalar: Callable[[Any], str]) -> None:
     # `newline` is a line break and the indent of the current level. A
     # module-level function, not a closure over `chunks`: a closure that
     # calls itself is a reference cycle, and would keep every report's
-    # chunks alive until the cycle collector runs.
+    # chunks alive until the cycle collector runs. `scalar` is json.dumps.
     if isinstance(o, str):
         append(quote(o))
-    elif o is None:
-        append("null")
-    elif o is True:
-        append("true")
-    elif o is False:
-        append("false")
-    elif isinstance(o, int):
+    elif type(o) is int:
         append(int.__repr__(o))
-    elif isinstance(o, float):
-        append(_float_text(o))
+    elif o is None or isinstance(o, (int, float)):
+        append(scalar(o))
     elif isinstance(o, (list, tuple)):
         if not o:
             append("[]")
@@ -109,7 +96,7 @@ def _write_json(o: Any, newline: str, append: Callable[[str], None],
             for i, x in enumerate(o):
                 if i:
                     append(sep)
-                _write_json(x, inner, append, quote)
+                _write_json(x, inner, append, quote, scalar)
         append(newline + "]")
     elif isinstance(o, dict):
         if not o:
@@ -122,10 +109,10 @@ def _write_json(o: Any, newline: str, append: Callable[[str], None],
             if i:
                 append(sep)
             append(quote(key) + ": ")
-            _write_json(value, inner, append, quote)
+            _write_json(value, inner, append, quote, scalar)
         append(newline + "}")
     else:
-        _write_json(to_jsonable(o), newline, append, quote)
+        _write_json(to_jsonable(o), newline, append, quote, scalar)
 
 
 def build_manifest(args: argparse.Namespace, outputs: List[str]) -> Dict[str, Any]:
@@ -551,7 +538,3 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

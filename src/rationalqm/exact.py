@@ -315,17 +315,14 @@ def itc_verdict(cos_ab: Fraction, cos_bc: Fraction,
     p, q = _cosine_terms("cos_ab", cos_ab)
     u, v = _cosine_terms("cos_bc", cos_bc)
     third = _third_side(p, q, u, v, phi_c)
+    possible = third.is_rational
     if abs(p) == q or abs(u) == v:  # a pole: _third_side gave (p/q)(u/v)
-        return TriangleVerdict(possible=True, third_side=third, reason="degenerate")
-    if third.is_rational:
-        return TriangleVerdict(
-            possible=True, third_side=third,
-            reason=f"third side has rational cosine {third.rational}")
-    if third.kind is CosineKind.IRRATIONAL_SURD:
-        return TriangleVerdict(
-            possible=False, third_side=third,
-            reason="third-side cosine is a non-rational quadratic surd")
-    return TriangleVerdict(
-        possible=False, third_side=third,
-        reason="cos^2 of the interior angle is irrational, so the cross term "
-               "cannot be rational")
+        reason = "degenerate"
+    elif possible:
+        reason = f"third side has rational cosine {third.rational}"
+    elif third.kind is CosineKind.IRRATIONAL_SURD:
+        reason = "third-side cosine is a non-rational quadratic surd"
+    else:
+        reason = ("cos^2 of the interior angle is irrational, so the cross term "
+                  "cannot be rational")
+    return TriangleVerdict(possible=possible, third_side=third, reason=reason)

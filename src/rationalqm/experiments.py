@@ -76,13 +76,10 @@ def delayed_choice(phi: RationalAngle, second_mirror_in: bool) -> DelayedChoiceR
     rational-turn input satisfies by construction.
     """
     cert = niven_cosine(phi)
-    if second_mirror_in:
-        return DelayedChoiceReport(phi=phi, second_mirror_in=True,
-                                   demanded="cos(phi) rational",
-                                   satisfied=cert.is_rational, certificate=cert)
-    return DelayedChoiceReport(phi=phi, second_mirror_in=False,
-                               demanded="phi/2pi rational",
-                               satisfied=True, certificate=cert)
+    return DelayedChoiceReport(
+        phi=phi, second_mirror_in=second_mirror_in,
+        demanded="cos(phi) rational" if second_mirror_in else "phi/2pi rational",
+        satisfied=cert.is_rational or not second_mirror_in, certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +333,17 @@ def bell_run(nominal_a: Fraction, nominal_b: Fraction, nominal_c: Fraction,
                          f"31 fit a 32-bit lane with its carry bit")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    labels = [("AB", nominal_a, nominal_b),
-              ("AC", nominal_a, nominal_c),
-              ("BC", nominal_b, nominal_c)]
-    pairs = []
-    for idx, (label, t1, t2) in enumerate(labels):
-        delta = (Fraction(t1) - Fraction(t2)) % 1
-        pairs.append(_singlet_pair_correlation(
-            delta, L, trials_per_pair, _pair_seed(seed, idx), label))
-    co = {p.label: p.correlation for p in pairs}
-    pred = {p.label: p.predicted_nominal for p in pairs}
-    quantity = abs(co["AB"] - co["AC"]) - co["BC"]
-    quantity_nominal = abs(pred["AB"] - pred["AC"]) - pred["BC"]
-    return BellReport(L=L, trials_per_pair=trials_per_pair, seed=seed,
-                      pairs=pairs, bell_quantity=quantity,
-                      bell_quantity_nominal=quantity_nominal)
+    pairs = [_singlet_pair_correlation((Fraction(t1) - Fraction(t2)) % 1, L,
+                                       trials_per_pair, _pair_seed(seed, idx), label)
+             for idx, (label, t1, t2) in enumerate([("AB", nominal_a, nominal_b),
+                                                    ("AC", nominal_a, nominal_c),
+                                                    ("BC", nominal_b, nominal_c)])]
+    ab, ac, bc = pairs
+    return BellReport(
+        L=L, trials_per_pair=trials_per_pair, seed=seed, pairs=pairs,
+        bell_quantity=abs(ab.correlation - ac.correlation) - bc.correlation,
+        bell_quantity_nominal=(abs(ab.predicted_nominal - ac.predicted_nominal)
+                               - bc.predicted_nominal))
 
 
 def single_trial_outcomes(cos_theta_ab: Fraction, L: int,

@@ -57,7 +57,11 @@ class ReductionTrace:
     """
 
     initial: IntegerPair
-    outcome: int
+
+    @property
+    def outcome(self) -> int:
+        # L-1 halvings leave the most significant digit: the string's first bit.
+        return 1 if self.initial.plus >> (self.initial.width - 1) else -1
 
     @property
     def step_count(self) -> int:
@@ -71,12 +75,7 @@ class ReductionTrace:
 
 
 def measure(s: Sequence[int]) -> ReductionTrace:
-    """Run the halving dynamics to completion and read off the outcome.
-
-    L-1 halvings leave the most significant digit, i.e. the first bit of the
-    string (which, for a xi-permuted state, is the bit xi selected).
-    """
-    pair = to_integer_pair(s)
-    outcome = 1 if pair.plus >> (pair.width - 1) else -1
-    return ReductionTrace(initial=pair, outcome=outcome)
+    """Run the halving dynamics to completion; its outcome is the string's
+    first bit (which, for a xi-permuted state, is the bit xi selected)."""
+    return ReductionTrace(initial=to_integer_pair(s))
 

@@ -1,8 +1,9 @@
 """Rules on the source itself: invariants in `src/` raise real exceptions,
 because `python -O` strips `assert` statements; every public name, method and
 property in `src/` is there for the program, not only for its unit tests, and
-every private module-level name is used in `src/`; and no module imports
-mpmath, which only the tests use as an oracle."""
+every private module-level name is used in `src/`; no module imports
+mpmath, which only the tests use as an oracle; and `__main__.py` is the only
+module that runs as a script."""
 
 import ast
 from collections import Counter
@@ -103,3 +104,15 @@ def test_no_module_imports_mpmath():
     importers = {path.name for path in sorted(PACKAGE.rglob("*.py"))
                  if any(map(_imports_mpmath, ast.walk(_parse(path))))}
     assert importers == set()
+
+
+def _is_main_guard(node: ast.AST) -> bool:
+    return isinstance(node, ast.If) and ast.unparse(node.test) in (
+        "__name__ == '__main__'", "'__main__' == __name__")
+
+
+def test_only_main_module_runs_as_a_script():
+    # one entry point: `python -m rationalqm` or the rationalqm console script
+    scripts = {path.name for path in sorted(PACKAGE.rglob("*.py"))
+               if any(map(_is_main_guard, ast.walk(_parse(path))))}
+    assert scripts - {"__main__.py"} == set()
