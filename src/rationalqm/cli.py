@@ -322,7 +322,8 @@ def cmd_measure(args) -> Tuple[Any, List[str]]:
         "outcome": trace.outcome,
         "step_count": trace.step_count,
     }
-    return report, [" -> ".join(["trace: " + steps[0], *steps[1:]]),
+    # stdout shows the initial and the width-1 pair; --json holds every step.
+    return report, [f"trace: {steps[0]} -> ... -> {steps[-1]}",
                     f"outcome: {'+1' if trace.outcome == 1 else '-1'} "
                     f"after {trace.step_count} halving steps"]
 

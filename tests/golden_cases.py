@@ -97,10 +97,10 @@ GOLDEN = {
     'delayed-choice-out': (0, 'c2c3e32b239a69d6', '', {}),
     'itc-niven': (0, 'beb4f6b827a16f4a', '', {}),
     'itc-surd': (0, '3141728e1b7b1ac2', '', {}),
-    'measure-L1024': (0, 'e048fb9d84861158', '', {'measure.json': '77fed3252b690bc1'}),
-    'measure-L4': (0, '570000e5028c8f1c', '', {}),
-    'measure-pole-m0': (0, 'cb837464e2c57386', '', {}),
-    'measure-pole-mL': (0, 'f6c6fad83c9f5c06', '', {}),
+    'measure-L1024': (0, 'ba587d65d3ef7be1', '', {'measure.json': '77fed3252b690bc1'}),
+    'measure-L4': (0, 'f64eb1cc8d326e14', '', {}),
+    'measure-pole-m0': (0, '7712f5ebf42a846f', '', {}),
+    'measure-pole-mL': (0, '6054a06a06a75ed8', '', {}),
     'mz-niven': (0, 'f0f1ce097b94fc23', '', {}),
     'mz-rational': (0, '621e7bbaeab77a3b', '', {}),
     'niven-irrational': (0, 'e46588da5f2420e9', '', {}),

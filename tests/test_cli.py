@@ -97,8 +97,9 @@ class TestSubcommands:
         code, out, _ = run(capsys, "measure", "--m", "2", "--n", "1", "--L", "4",
                            "--seed", "0")
         assert code == 0
-        assert "trace:" in out and "outcome:" in out
-        assert out.count("->") == 3
+        trace = reference_measure_report(2, 1, 4, 0)["trace"]
+        assert out == (f"trace: {trace[0]} -> ... -> {trace[-1]}\n"
+                       "outcome: -1 after 3 halving steps\n")
 
     @pytest.mark.parametrize("m,n,L", [(0, 0, 1), (1, 0, 1), (1, 1, 2),
                                        (2, 1, 4), (100, 37, 256)])
@@ -112,8 +113,17 @@ class TestSubcommands:
         expected = reference_measure_report(m, n, L, seed)
         assert json.loads(path.read_text())["report"] == expected
         sign = "+1" if expected["outcome"] == 1 else "-1"
-        assert out == ("trace: " + " -> ".join(expected["trace"]) + "\n"
+        first, last = expected["trace"][0], expected["trace"][-1]
+        assert out == (f"trace: {first} -> ... -> {last}\n"
                        f"outcome: {sign} after {L - 1} halving steps\n")
+
+    def test_measure_stdout_is_linear_in_L(self, capsys):
+        # the JSON report holds every step; stdout only the first and last
+        L = 1024
+        code, out, _ = run(capsys, "measure", "--m", "300", "--n", "17",
+                           "--L", str(L), "--seed", "5")
+        assert code == 0
+        assert len(out.encode()) <= 3 * L + 100
 
     @pytest.mark.parametrize("m,n", [(0, 3), (4, 1)])
     def test_pole_reports_its_normalised_n(self, capsys, m, n):
