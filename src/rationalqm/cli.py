@@ -164,13 +164,20 @@ def _angle(text: str) -> RationalAngle:
 
 
 def _angles(text: str) -> List[RationalAngle]:
-    return [_angle(part) for part in text.split(",")]
+    angles: List[RationalAngle] = []
+    for part in text.split(","):
+        angle = _angle(part)
+        if angle in angles:  # turns are reduced mod 1
+            raise argparse.ArgumentTypeError(
+                f"angle {part} repeats {angle.turns} turns (mod 1)")
+        angles.append(angle)
+    return angles
 
 
 def _csv_path(text: str) -> str:
-    if text == "-":
-        raise argparse.ArgumentTypeError("'-' is not accepted: CSV goes to a file, "
-                                         "never to stdout")
+    if text in ("", "-"):
+        raise argparse.ArgumentTypeError(f"{text!r} is not accepted: CSV goes to "
+                                         "a file, never to stdout")
     return text
 
 
@@ -290,7 +297,7 @@ def cmd_state(args) -> Tuple[Any, List[str]]:
     xi = PNO.from_seed(args.seed, args.L)
     if args.singlet_cos is not None:
         state = make_singlet(args.singlet_cos, args.L, xi)
-        record = {"L": args.L, "params": state.params, "xi_seed": xi.seed,
+        record = {"L": args.L, "params": state.params, "xi_seed": args.seed,
                   "top": state.top, "bottom": state.bottom}
         return record, [f"singlet at cos theta_AB = {args.singlet_cos}, L={args.L}, "
                         f"seed={args.seed}",
@@ -298,7 +305,7 @@ def cmd_state(args) -> Tuple[Any, List[str]]:
                         "bottom: " + _signs(state.bottom)]
     point = LatticePoint(args.m, args.n, args.L)
     state = make_qubit(point, xi)
-    record = {"L": point.L, "m": point.m, "n": point.n, "xi_seed": xi.seed,
+    record = {"L": point.L, "m": point.m, "n": point.n, "xi_seed": args.seed,
               "string": state.string}
     return record, [f"qubit at (m={point.m}, n={point.n}, L={point.L}), "
                     f"seed={args.seed}", "string: " + _signs(state.string)]
@@ -313,7 +320,7 @@ def cmd_measure(args) -> Tuple[Any, List[str]]:
     trace = measure(state.string)
     # Halving drops the last digit of both integers, so step k shows the
     # first L - k digits of the initial pair.
-    plus, minus = trace.initial.bit_strings()
+    plus, minus = trace.bit_strings()
     steps = [f"{plus[:w]}.-{minus[:w]}." for w in range(len(plus), 0, -1)]
     report = {
         "m": point.m, "n": point.n, "L": point.L, "seed": args.seed,
@@ -407,7 +414,8 @@ def cmd_bell(args) -> Tuple[Any, List[str]]:
 
 def parse_config_file(path: str) -> Dict[str, Any]:
     """Plain-text key=value config: angles (comma-separated turn fractions),
-    L, trials, seed. Blank lines and '#' comments ignored."""
+    L, trials, seed. Blank lines and '#' comments ignored; a key may appear
+    only once."""
     out: Dict[str, Any] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -417,11 +425,12 @@ def parse_config_file(path: str) -> Dict[str, Any]:
             raise ValueError(f"bad config line (expected key=value): {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in ("L", "trials", "seed"):
-            out[key] = parse_integer(value)
-        elif key == "angles":
-            out[key] = value
-        else:
+            value = parse_integer(value)
+        elif key != "angles":
             raise ValueError(f"unknown config key {key!r}")
+        if key in out:
+            raise ValueError(f"config key {key!r} is given twice")
+        out[key] = value
     return out
 
 

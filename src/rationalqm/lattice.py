@@ -6,7 +6,7 @@ the lattice its complex and quaternionic structure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
@@ -31,14 +31,12 @@ class PNO:
 
     `signs` defaults to None, meaning every sign is +1: then `apply` is a
     pure reordering, which is what the hidden permutation xi of a state is.
-    `seed` records the seed of a perm made by `from_seed`. Every perm given
-    to the constructor is checked; only `from_seed`, whose perm is its own
-    Fisher-Yates shuffle of 0..size-1, skips the check.
+    Every perm given to the constructor is checked; only `from_seed`, whose
+    perm is its own Fisher-Yates shuffle of 0..size-1, skips the check.
     """
 
     perm: Tuple[int, ...]
     signs: Optional[Tuple[int, ...]] = None
-    seed: Optional[int] = field(default=None, compare=False)
 
     def __post_init__(self):
         n = len(self.perm)
@@ -63,7 +61,7 @@ class PNO:
         perm = list(range(size))
         random.Random(seed).shuffle(perm)
         xi = object.__new__(cls)  # skips __post_init__: a shuffle is a permutation
-        xi.__dict__.update(perm=tuple(perm), signs=None, seed=seed)
+        xi.__dict__.update(perm=tuple(perm), signs=None)
         return xi
 
     @property

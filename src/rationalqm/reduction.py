@@ -35,6 +35,22 @@ class IntegerPair:
         return (format(self.plus, f"0{self.width}b"),
                 format(self.minus, f"0{self.width}b"))
 
+    @property
+    def outcome(self) -> int:
+        # width-1 halvings leave the most significant digit: the first bit.
+        return 1 if self.plus >> (self.width - 1) else -1
+
+    @property
+    def step_count(self) -> int:
+        return self.width - 1
+
+    @property
+    def steps(self) -> List[IntegerPair]:
+        # Built on each read, so reading only the outcome costs O(L). Step k
+        # halves both integers k times: the first width - k digits.
+        return [IntegerPair(plus=self.plus >> k, width=self.width - k)
+                for k in range(self.width)]
+
 
 _DIGIT = {1: "1", -1: "0"}
 
@@ -48,34 +64,8 @@ def to_integer_pair(s: Sequence[int]) -> IntegerPair:
     return IntegerPair(plus=plus, width=len(bits))
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
-    """The halving dynamics from `initial` down to width 1.
-
-    `steps` (the L pairs from `initial` to the width-1 pair) is built each
-    time it is read, so a caller that needs only the outcome pays O(L).
-    """
-
-    initial: IntegerPair
-
-    @property
-    def outcome(self) -> int:
-        # L-1 halvings leave the most significant digit: the string's first bit.
-        return 1 if self.initial.plus >> (self.initial.width - 1) else -1
-
-    @property
-    def step_count(self) -> int:
-        return self.initial.width - 1
-
-    @property
-    def steps(self) -> List[IntegerPair]:
-        # Step k halves both integers k times: the first width - k digits.
-        plus, width = self.initial.plus, self.initial.width
-        return [IntegerPair(plus=plus >> k, width=width - k) for k in range(width)]
-
-
-def measure(s: Sequence[int]) -> ReductionTrace:
-    """Run the halving dynamics to completion; its outcome is the string's
-    first bit (which, for a xi-permuted state, is the bit xi selected)."""
-    return ReductionTrace(initial=to_integer_pair(s))
-
+def measure(s: Sequence[int]) -> IntegerPair:
+    """The halving dynamics of `s`: its integer pair, whose `steps` run to
+    width 1 and whose `outcome` is the string's first bit (which, for a
+    xi-permuted state, is the bit xi selected)."""
+    return to_integer_pair(s)

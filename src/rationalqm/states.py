@@ -33,15 +33,13 @@ class QubitState:
     string: Bits
 
 
-def _check_xi(xi: PNO, L: int) -> None:
+def _check_xi(xi: PNO) -> None:
     if xi.signs is not None:
         raise ValueError("xi must be a sign-free permutation, got a signed PNO")
-    if xi.size != L:
-        raise ValueError(f"xi acts on {xi.size} positions but L = {L}")
 
 
 def make_qubit(point: LatticePoint, xi: PNO) -> QubitState:
-    _check_xi(xi, point.L)
+    _check_xi(xi)
     return QubitState(point=point, xi=xi, string=xi.apply(canonical_bitstring(point)))
 
 
@@ -97,8 +95,6 @@ def _require_integer(value: Fraction, what: str) -> int:
 
 
 def _sub_block(length: int, ones: Fraction, shift: Fraction, what: str) -> Bits:
-    if length == 0:
-        return ()
     k = _require_integer(ones * length, f"{what} +1 count ({ones} of {length})")
     s = _require_integer(shift * length, f"{what} shift ({shift} of {length})")
     return zeta(block_string(k, length), s)
@@ -119,7 +115,7 @@ def canonical_two_qubit_strings(params: TwoQubitParams, L: int) -> Tuple[Bits, B
 def make_two_qubit(params: TwoQubitParams, L: int,
                    xi: PNO) -> TwoQubitState:
     """Build the correlated pair of strings and apply the common xi to both."""
-    _check_xi(xi, L)
+    _check_xi(xi)
     top_c, bottom_c = canonical_two_qubit_strings(params, L)
     return TwoQubitState(top=xi.apply(top_c), bottom=xi.apply(bottom_c), xi=xi,
                          params=params)
@@ -139,9 +135,6 @@ def singlet_params(cos_theta_ab: Fraction) -> TwoQubitParams:
 
 def make_singlet(cos_theta_ab: Fraction, L: int,
                  xi: PNO) -> TwoQubitState:
-    if L % 2 != 0:
-        raise LatticeUnrealisableError(
-            f"lattice-unrealisable parameters: singlet needs even L, got {L}")
     return make_two_qubit(singlet_params(cos_theta_ab), L, xi)
 
 

@@ -49,6 +49,7 @@ CASES = {
     "state-singlet-L360-stdout": ["state", "--singlet-cos", "1/2", "--L", "360",
                                   "--seed", "3", "--json", "-"],
     "state-unrealisable": ["state", "--singlet-cos", "1/3", "--L", "8", "--seed", "1"],
+    "state-singlet-odd-L": ["state", "--singlet-cos", "0", "--L", "7", "--seed", "1"],
     "bell-readme": ["bell", "--angles", "0,1/6,1/3", "--L", "360",
                     "--trials", "100000", "--seed", "7", "--csv", "bell.csv",
                     "--json", "-"],
@@ -122,6 +123,7 @@ GOLDEN = {
     'state-singlet-L360': (0, 'f54af0e94145ead3', '', {'state.json': 'db3fd91a773d1696'}),
     'state-singlet-L360-stdout': (0, '16b4ff43a1a0332f', '', {}),
     'state-singlet-L8': (0, 'be5d0cb3e7329bcf', '', {}),
+    'state-singlet-odd-L': (3, '', '453b6d4bcf03ed52', {}),
     'state-unrealisable': (3, '', '41c483e9242a0ee7', {}),
     'uncertainty-cosines': (0, '4257a7b1156a3ad4', '', {}),
     'uncertainty-samples': (0, 'bdb247be7e1fd4c0', '', {}),

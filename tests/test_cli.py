@@ -381,6 +381,19 @@ class TestExitCodes:
         assert "--csv" in err and out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv", [
+        ("sphere", "--L", "4"),
+        ("bell", "--angles", "0,1/6,1/3", "--L", "360", "--trials", "1000",
+         "--seed", "1"),
+    ], ids=["sphere", "bell"])
+    def test_csv_empty_path_rejected(self, capsys, tmp_path, monkeypatch, argv):
+        # an empty path names no file: the run would write none, yet exit 0
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv, "--csv", "", "--json", "-")
+        assert (code, out) == (2, "")
+        assert "argument --csv: '' is not accepted" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("csv_path,json_path", [
         ("same.out", "same.out"), ("x", "./x"), ("./x", "x"), ("d/../x", "x"),
     ])
@@ -484,6 +497,17 @@ class TestScanExceptions:
         assert code == 2 and out == ""
         assert err == f"error: --max-den must be >= 2, got {max_den}\n"
 
+    @pytest.mark.parametrize("turns,repeat", [
+        ("1/8,9/8", "angle 9/8 repeats 1/8"), ("1/8,3/8,-7/8", "angle -7/8 repeats 1/8"),
+        ("0,1", "angle 1 repeats 0"), ("1/12,2/24", "angle 2/24 repeats 1/12"),
+    ])
+    def test_repeated_turn_exits_2(self, capsys, turns, repeat):
+        # angles are reduced mod 1, so a repeat would list each triangle twice
+        code, out, err = run(capsys, "scan-exceptions", "--max-den", "6",
+                             "--turns", turns)
+        assert (code, out) == (2, "")
+        assert f"argument --turns: {repeat} turns (mod 1)" in err
+
     def test_negative_turns_is_a_value(self, capsys):
         # -1/8 of a turn is the angle 7/8
         code, out, _ = run(capsys, "scan-exceptions", "--max-den", "5",
@@ -548,6 +572,21 @@ class TestConfigFile:
         cfg.write_text("angles 0,1/6,1/3\n")
         with pytest.raises(ValueError):
             parse_config_file(str(cfg))
+
+    @pytest.mark.parametrize("key,lines", [
+        ("seed", "seed = 1\nseed = 2\n"), ("angles", "angles = 0,1/6,1/3\nangles=0,1/4,1/2\n"),
+        ("L", "L = 360\n# L = 8\nL = 360\n"),
+    ])
+    def test_repeated_key_rejected(self, capsys, tmp_path, key, lines):
+        # keeping the last value would run a setting that one line contradicts
+        others = {"angles": "0,1/6,1/3", "L": "360", "trials": "500", "seed": "4"}
+        cfg = tmp_path / "bell.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in others.items() if k != key)
+                       + lines)
+        with pytest.raises(ValueError, match=f"config key '{key}' is given twice"):
+            parse_config_file(str(cfg))
+        code, out, err = run(capsys, "bell", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: config key '{key}' is given twice\n")
 
     def test_bell_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "bell.cfg"

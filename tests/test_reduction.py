@@ -7,8 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rationalqm.lattice import PNO, LatticePoint
-from rationalqm.reduction import (IntegerPair, ReductionTrace, measure,
-                                  to_integer_pair)
+from rationalqm.reduction import IntegerPair, measure, to_integer_pair
 from rationalqm.states import make_qubit
 
 bits_strategy = st.lists(st.sampled_from([1, -1]), min_size=1, max_size=64).map(tuple)
@@ -118,13 +117,16 @@ class TestReduction:
         assert trace.outcome == (1 if trace.steps[-1].plus else -1)
 
     def test_trace_is_its_pair(self):
-        # The outcome is read from the pair's top digit, never stored, so no
-        # trace can disagree with its own pair.
-        assert [f.name for f in dataclasses.fields(ReductionTrace)] == ["initial"]
-        assert ReductionTrace(IntegerPair(plus=0b100, width=3)).outcome == 1
-        assert ReductionTrace(IntegerPair(plus=0b011, width=3)).outcome == -1
-        assert ReductionTrace(IntegerPair(plus=1, width=1)).outcome == 1
-        assert ReductionTrace(IntegerPair(plus=0, width=1)).outcome == -1
+        # measure returns the string's pair, which stores only plus and
+        # width: the outcome and the steps are read from them, so no trace
+        # can disagree with its own pair.
+        s = (1, -1, -1, 1)
+        assert measure(s) == to_integer_pair(s)  # dataclass == checks the type
+        assert [f.name for f in dataclasses.fields(IntegerPair)] == ["plus", "width"]
+        assert IntegerPair(plus=0b100, width=3).outcome == 1
+        assert IntegerPair(plus=0b011, width=3).outcome == -1
+        assert IntegerPair(plus=1, width=1).outcome == 1
+        assert IntegerPair(plus=0, width=1).outcome == -1
 
     def test_invalid_string_rejected(self):
         with pytest.raises(ValueError):

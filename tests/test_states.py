@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -94,10 +95,6 @@ class TestHiddenPermutation:
         with pytest.raises(ValueError):
             PNO((0, 0, 1))
 
-    def test_seed_does_not_skip_the_permutation_check(self):
-        with pytest.raises(ValueError, match="not a permutation"):
-            PNO((0, 0, 0), seed=5)
-
     def test_needs_seed_or_perm(self):
         # no permutation at all, and no seed: never one drawn from os entropy
         with pytest.raises(TypeError):
@@ -133,9 +130,12 @@ class TestQubitState:
         assert q.string == (1, -1, -1, 1)
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        # PNO.apply is the one size check, for one and two qubits alike
+        with pytest.raises(ValueError, match="operator arity 6 != string length 4"):
             make_qubit(LatticePoint(2, 0, 4),
                        PNO(tuple(range(6))))
+        with pytest.raises(ValueError, match="operator arity 6 != string length 4"):
+            make_singlet(Fraction(0), 4, PNO(tuple(range(6))))
 
     def test_signed_xi_rejected(self):
         # a signed xi would flip bits: the north pole would read (1, 1, -1, -1)
@@ -161,7 +161,7 @@ class TestQubitState:
         q = make_qubit(LatticePoint(2, 1, 4), HiddenPermutation.from_seed(7, 4))
         record = json.loads(json.dumps(q, default=to_jsonable))
         assert record["point"] == {"m": 2, "n": 1, "L": 4}
-        assert record["xi"]["seed"] == 7 and record["xi"]["signs"] is None
+        assert record["xi"]["signs"] is None
         assert tuple(record["string"]) == q.string
         xi = PNO(tuple(record["xi"]["perm"]))
         assert xi.apply(canonical_bitstring(q.point)) == q.string
@@ -285,7 +285,6 @@ class TestTwoQubit:
         state = make_two_qubit(params, 4, HiddenPermutation.from_seed(11, 4))
         record = json.loads(json.dumps(state, default=to_jsonable))
         assert record["params"]["top_ones"] == "1/2"
-        assert record["xi"]["seed"] == 11
         assert len(record["top"]) == len(record["bottom"]) == 4
 
 
@@ -313,8 +312,14 @@ class TestSinglet:
                 assert exact_singlet_correlation(cos, L) == -cos
 
     def test_odd_L_rejected(self):
-        with pytest.raises(LatticeUnrealisableError):
+        # the equatorial top string needs L/2 +1s, and no other check says so
+        with pytest.raises(LatticeUnrealisableError,
+                           match=re.escape("top +1 count (1/2 of 7) = 7/2 is not")):
             make_singlet(Fraction(0), 7, PNO(tuple(range(7))))
+        # a cosine out of range is a bad value at any L, odd L included
+        with pytest.raises(ValueError, match=r"\|cos theta_AB\| must be <= 1") as exc:
+            make_singlet(Fraction(2), 7, PNO(tuple(range(7))))
+        assert not isinstance(exc.value, LatticeUnrealisableError)
 
     def test_unrealisable_cos_rejected(self):
         with pytest.raises(LatticeUnrealisableError):
