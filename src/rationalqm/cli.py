@@ -41,17 +41,30 @@ def to_jsonable(obj: Any) -> Any:
     raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
 
 
-# Printable ASCII but the quote and the backslash: a string of only these
-# characters is its own JSON encoding between two quotes.
-_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+class _HalvingTrace:
+    """The halving steps of an integer pair, as the `measure` report lists
+    them. Halving drops the last digit of both integers, so step k is the
+    first L - k digits of the initial pair. Only the two initial digit
+    strings are held, and a slice builds its own steps; being only '0',
+    '1', '.' and '-', each step is its own JSON encoding between quotes."""
+
+    def __init__(self, pair: Any) -> None:
+        self.plus, self.minus = pair.bit_strings()
+
+    def __len__(self) -> int:
+        return len(self.plus)
+
+    def __getitem__(self, k: slice) -> List[str]:
+        p, m = self.plus, self.minus
+        return [f"{p[:w]}.-{m[:w]}." for w in range(len(p), 0, -1)[k]]
 
 
 def json_chunks(obj: Any) -> List[str]:
     """Pieces whose concatenation is `json.dumps(obj, indent=2, sort_keys=True,
     default=to_jsonable)`, byte for byte, except that a dict key that is not
-    a string raises TypeError. A list of ints, or of strings that need no
-    escaping, is written 64 items to a piece, so no piece but a single long
-    string grows with the report."""
+    a string raises TypeError, and that a `_HalvingTrace` is written as the
+    list of its steps. A list of ints, or a trace, is written 64 items to a
+    piece, so no piece but a single long string grows with the report."""
     from json import dumps
     from json.encoder import encode_basestring_ascii
     chunks: List[str] = []
@@ -71,7 +84,7 @@ def _write_json(o: Any, newline: str, append: Callable[[str], None],
         append(int.__repr__(o))
     elif o is None or isinstance(o, (int, float)):
         append(scalar(o))
-    elif isinstance(o, (list, tuple)):
+    elif isinstance(o, (list, tuple, _HalvingTrace)):
         if not o:
             append("[]")
             return
@@ -79,11 +92,10 @@ def _write_json(o: Any, newline: str, append: Callable[[str], None],
         sep = "," + inner
         append("[" + inner)
         mark = None
-        if all(type(x) is int for x in o):
-            mark, o = "", list(map(int.__repr__, o))
-        elif all(type(x) is str and x.isascii()
-                 and not x.encode().translate(None, _PLAIN) for x in o):
+        if type(o) is _HalvingTrace:
             mark = '"'
+        elif all(type(x) is int for x in o):
+            mark, o = "", list(map(int.__repr__, o))
         if mark is not None:
             sep = mark + sep + mark
             append(mark)
@@ -318,10 +330,7 @@ def cmd_measure(args) -> Tuple[Any, List[str]]:
     point = LatticePoint(args.m, args.n, args.L)
     state = make_qubit(point, PNO.from_seed(args.seed, args.L))
     trace = measure(state.string)
-    # Halving drops the last digit of both integers, so step k shows the
-    # first L - k digits of the initial pair.
-    plus, minus = trace.bit_strings()
-    steps = [f"{plus[:w]}.-{minus[:w]}." for w in range(len(plus), 0, -1)]
+    steps = _HalvingTrace(trace)
     report = {
         "m": point.m, "n": point.n, "L": point.L, "seed": args.seed,
         "string": state.string,
@@ -330,7 +339,8 @@ def cmd_measure(args) -> Tuple[Any, List[str]]:
         "step_count": trace.step_count,
     }
     # stdout shows the initial and the width-1 pair; --json holds every step.
-    return report, [f"trace: {steps[0]} -> ... -> {steps[-1]}",
+    return report, [f"trace: {steps.plus}.-{steps.minus}. -> ... -> "
+                    f"{steps.plus[0]}.-{steps.minus[0]}.",
                     f"outcome: {'+1' if trace.outcome == 1 else '-1'} "
                     f"after {trace.step_count} halving steps"]
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -101,8 +102,11 @@ class TestSubcommands:
         assert out == (f"trace: {trace[0]} -> ... -> {trace[-1]}\n"
                        "outcome: -1 after 3 halving steps\n")
 
+    # L = 63, 64, 65 and 129 sit around the report's 64-step pieces.
     @pytest.mark.parametrize("m,n,L", [(0, 0, 1), (1, 0, 1), (1, 1, 2),
-                                       (2, 1, 4), (100, 37, 256)])
+                                       (2, 1, 4), (21, 5, 63), (32, 0, 64),
+                                       (40, 7, 65), (64, 100, 129),
+                                       (100, 37, 256)])
     @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1])
     def test_measure_report_matches_pairwise_trace(self, capsys, tmp_path,
                                                    m, n, L, seed):
@@ -111,11 +115,28 @@ class TestSubcommands:
                            "--L", str(L), "--seed", str(seed), "--json", str(path))
         assert code == 0
         expected = reference_measure_report(m, n, L, seed)
-        assert json.loads(path.read_text())["report"] == expected
+        text = path.read_text()
+        payload = {"schema_version": cli.SCHEMA_VERSION,
+                   "manifest": json.loads(text)["manifest"], "report": expected}
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         sign = "+1" if expected["outcome"] == 1 else "-1"
         first, last = expected["trace"][0], expected["trace"][-1]
         assert out == (f"trace: {first} -> ... -> {last}\n"
                        f"outcome: {sign} after {L - 1} halving steps\n")
+
+    def test_measure_without_json_builds_no_step(self, capsys):
+        expected = reference_measure_report(300, 17, 1024, 5)
+
+        def refuse(self, k):
+            raise AssertionError("a trace step was built")
+
+        with mock.patch.object(cli._HalvingTrace, "__getitem__", refuse):
+            code, out, _ = run(capsys, "measure", "--m", "300", "--n", "17",
+                               "--L", "1024", "--seed", "5")
+        assert code == 0
+        first, last = expected["trace"][0], expected["trace"][-1]
+        assert out == (f"trace: {first} -> ... -> {last}\n"
+                       "outcome: +1 after 1023 halving steps\n")
 
     def test_measure_stdout_is_linear_in_L(self, capsys):
         # the JSON report holds every step; stdout only the first and last

@@ -145,7 +145,8 @@ def test_measure_report_is_json_dumps(capsys):
 
 @pytest.mark.parametrize("count", [63, 64, 65, 128, 129])
 def test_long_plain_lists_are_json_dumps(count):
-    """Around the 64-item pieces of the fast paths."""
+    """Around the 64-item pieces of the int fast path; a list of strings is
+    written item by item."""
     strings = [f"{i:b}.-{~i & 0xff:b}." for i in range(count)]
     assert to_json(strings) == dumps(strings)
     assert to_json({"t": strings}) == dumps({"t": strings})
@@ -171,7 +172,7 @@ def test_measure_report_pieces_are_bounded(tmp_path, capsys):
     with mock.patch.object(cli, "json_chunks", keep):
         assert cli.main(["measure", "--m", "300", "--n", "17", "--L", "1024",
                          "--seed", "5", "--json", str(path)]) == 0
-    capsys.readouterr()  # the summary's megabyte trace line
+    capsys.readouterr()  # the summary's two O(L) lines
     [chunks] = written
     assert "".join(chunks) == path.read_text()
     assert 1_050_000 < path.stat().st_size < 1_100_000
