@@ -16,7 +16,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
@@ -195,10 +194,16 @@ def _csv_path(text: str) -> str:
 
 def _check_distinct_outputs(args: argparse.Namespace) -> None:
     """--csv and --json may not name one file: the JSON report would
-    overwrite the CSV that its manifest lists as an output."""
+    overwrite the CSV that its manifest lists as an output. Two existing
+    paths are compared as files, so a hard link counts; otherwise by name."""
     csv, report = getattr(args, "csv", None), getattr(args, "json", None)
-    if (csv and report not in (None, "-")
-            and os.path.realpath(csv) == os.path.realpath(report)):
+    if not csv or report in (None, "-"):
+        return
+    try:
+        same = os.path.samefile(csv, report)
+    except OSError:
+        same = os.path.realpath(csv) == os.path.realpath(report)
+    if same:
         raise ValueError(f"--csv {csv} and --json {report} name the same file")
 
 
@@ -427,7 +432,9 @@ def parse_config_file(path: str) -> Dict[str, Any]:
     L, trials, seed. Blank lines and '#' comments ignored; a key may appear
     only once."""
     out: Dict[str, Any] = {}
-    for raw in Path(path).read_text().splitlines():
+    with open(path) as f:
+        text = f.read()
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -72,7 +72,12 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
+# The frozen records of this module write their own __init__: it checks its
+# arguments and stores every field with one __dict__ write, where the
+# generated one makes a separate call per field to get past the frozen
+# __setattr__. dataclass still generates eq, hash, repr and the field list
+# that replace and fields read.
+@dataclass(frozen=True, init=False)
 class RationalAngle:
     """An angle stored as a reduced fraction of a full turn, in [0, 1).
 
@@ -82,15 +87,16 @@ class RationalAngle:
 
     turns: Fraction
 
-    def __post_init__(self):
-        turns = self.turns
+    def __init__(self, turns: Fraction):
         if isinstance(turns, Fraction):
-            if 0 <= turns.numerator < turns.denominator:
-                return
-        elif not isinstance(turns, int):
+            if not 0 <= turns.numerator < turns.denominator:
+                turns = Fraction(turns) % 1
+        elif isinstance(turns, int):
+            turns = Fraction(turns) % 1
+        else:
             raise TypeError(
                 f"angle turns must be an int or a Fraction, got {type(turns).__name__}")
-        object.__setattr__(self, "turns", Fraction(turns) % 1)
+        self.__dict__["turns"] = turns
 
     @property
     def denominator(self) -> int:
@@ -133,7 +139,7 @@ def _extract_square_factor(n: int) -> tuple[int, int]:
     return s, n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Surd:
     """The value a + b*sqrt(d), with d a positive non-square integer (as a
     Fraction) whenever b != 0."""
@@ -142,13 +148,14 @@ class Surd:
     b: Fraction
     d: Fraction
 
-    def __post_init__(self):
-        if self.b:
-            n = self.d.numerator
-            if n <= 0 or self.d.denominator != 1:
-                raise ValueError(f"surd radicand must be a positive integer, got {self.d}")
+    def __init__(self, a: Fraction, b: Fraction, d: Fraction):
+        if b:
+            n = d.numerator
+            if n <= 0 or d.denominator != 1:
+                raise ValueError(f"surd radicand must be a positive integer, got {d}")
             if math.isqrt(n) ** 2 == n:
-                raise ValueError(f"surd radicand {self.d} is a perfect square")
+                raise ValueError(f"surd radicand {d} is a perfect square")
+        self.__dict__.update(a=a, b=b, d=d)
 
 
 class CosineKind(Enum):
@@ -157,7 +164,7 @@ class CosineKind(Enum):
     IRRATIONAL_BY_NIVEN = "irrational-by-niven"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExactCosine:
     """Tri-state exact cosine value: a rational, a quadratic surd, or a
     certified irrational whose witness angle has irrational cosine-squared."""
@@ -171,6 +178,15 @@ class ExactCosine:
     # the value is cos(witness) itself.
     cross_base: Optional[Fraction] = None
     cross_radicand: Optional[Fraction] = None
+
+    def __init__(self, kind: CosineKind, rational: Optional[Fraction] = None,
+                 surd: Optional[Surd] = None,
+                 witness: Optional[RationalAngle] = None,
+                 cross_base: Optional[Fraction] = None,
+                 cross_radicand: Optional[Fraction] = None):
+        self.__dict__.update(kind=kind, rational=rational, surd=surd,
+                             witness=witness, cross_base=cross_base,
+                             cross_radicand=cross_radicand)
 
     @classmethod
     def from_rational(cls, value: Fraction) -> "ExactCosine":
@@ -298,7 +314,7 @@ def _third_side(p: int, q: int, u: int, v: int,
     return _surd(p * u, q * v, sign, n // g, d // g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TriangleVerdict:
     """Whether all three sides of the triangle can simultaneously have
     rational cosines given a rational-turn interior angle."""
@@ -306,6 +322,10 @@ class TriangleVerdict:
     possible: bool
     third_side: ExactCosine
     reason: str
+
+    def __init__(self, possible: bool, third_side: ExactCosine, reason: str):
+        self.__dict__.update(possible=possible, third_side=third_side,
+                             reason=reason)
 
 
 def itc_verdict(cos_ab: Fraction, cos_bc: Fraction,

@@ -440,6 +440,25 @@ class TestExitCodes:
         if exists:
             assert Path(json_path).read_text() == "kept\n"
 
+    @pytest.mark.parametrize("csv_path,json_path", [("a", "b"), ("b", "a")])
+    @pytest.mark.parametrize("argv", [
+        ("sphere", "--L", "4"),
+        ("bell", "--angles", "0,1/6,1/3", "--L", "360", "--trials", "1000",
+         "--seed", "1"),
+    ], ids=["sphere", "bell"])
+    def test_csv_and_json_through_a_hard_link_rejected(self, capsys, tmp_path,
+                                                       monkeypatch, argv,
+                                                       csv_path, json_path):
+        # Two names of one file differ as paths, so they are compared as files.
+        monkeypatch.chdir(tmp_path)
+        Path("a").touch()
+        os.link("a", "b")
+        code, out, err = run(capsys, *argv, "--csv", csv_path, "--json", json_path)
+        assert code == 2 and out == ""
+        assert f"--csv {csv_path} and --json {json_path} name the same file" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+        assert Path("a").read_text() == ""
+
     @pytest.mark.parametrize("argv", [
         ("sphere", "--L", "3"),
         ("bell", "--angles", "0,1/6,1/3", "--L", "360", "--trials", "1000",
@@ -853,6 +872,21 @@ print(sorted(parsing), "json" in sys.modules, "datetime" in sys.modules)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=src_env(), timeout=60, check=True)
     assert proc.stdout.splitlines()[-1] == "[] True True"
+
+
+def test_niven_does_not_load_pathlib():
+    """No command imports `pathlib`. Run without `site` (-S), since `site`
+    may load it through a `.pth` file before any user code runs."""
+    script = """
+import contextlib, io, sys
+import rationalqm.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["niven", "--turns", "1/5"])
+print(code, "pathlib" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env=src_env(), timeout=60, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 class TestModuleEntryPoint:
