@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
-import math
 import os
 import re
 import sys
@@ -19,24 +18,27 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
-from .exact import (RationalAngle, itc_verdict, niven_cosine, parse_fraction,
-                    parse_integer, spherical_third_side)
+from .exact import (RationalAngle, exceptional_triangles, itc_verdict,
+                    niven_cosine, parse_fraction, parse_integer)
 
 SCHEMA_VERSION = 1
 
 
 def to_jsonable(obj: Any) -> Any:
-    """The three kinds of report value that JSON has no form for: a Fraction
+    """The kinds of report value that JSON has no form for: a Fraction
     becomes its 'p/q' string, so exactness survives the round trip; an Enum
-    its value; a dataclass instance the dict of its fields. Anything else
-    raises TypeError. `json_chunks` calls this once per such value, by its
-    module-level name."""
+    its value; a dataclass instance the dict of its fields; a `measure` trace
+    the list of its steps. Anything else raises TypeError. `json_chunks`
+    calls this once per such value, by its module-level name, and writes a
+    trace itself."""
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, enum.Enum):
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, _HalvingTrace):
+        return obj[:]
     raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
 
 
@@ -61,9 +63,9 @@ class _HalvingTrace:
 def json_chunks(obj: Any) -> List[str]:
     """Pieces whose concatenation is `json.dumps(obj, indent=2, sort_keys=True,
     default=to_jsonable)`, byte for byte, except that a dict key that is not
-    a string raises TypeError, and that a `_HalvingTrace` is written as the
-    list of its steps. A list of ints, or a trace, is written 64 items to a
-    piece, so no piece but a single long string grows with the report."""
+    a string raises TypeError. A list of ints, or a `measure` trace, is
+    written 64 items to a piece, so no piece but a single long string grows
+    with the report."""
     from json import dumps
     from json.encoder import encode_basestring_ascii
     chunks: List[str] = []
@@ -193,18 +195,22 @@ def _csv_path(text: str) -> str:
 
 
 def _check_distinct_outputs(args: argparse.Namespace) -> None:
-    """--csv and --json may not name one file: the JSON report would
-    overwrite the CSV that its manifest lists as an output. Two existing
-    paths are compared as files, so a hard link counts; otherwise by name."""
-    csv, report = getattr(args, "csv", None), getattr(args, "json", None)
-    if not csv or report in (None, "-"):
-        return
-    try:
-        same = os.path.samefile(csv, report)
-    except OSError:
-        same = os.path.realpath(csv) == os.path.realpath(report)
-    if same:
-        raise ValueError(f"--csv {csv} and --json {report} name the same file")
+    """No two of --config, --csv and --json PATH may name one file: an output
+    would overwrite the config that replays the run, or the JSON report the
+    CSV that its manifest lists as an output. Two existing paths are
+    compared as files, so a hard link counts; otherwise by name."""
+    named = [(flag, path) for flag in ("--config", "--csv", "--json")
+             if (path := getattr(args, flag[2:], None))
+             and (flag, path) != ("--json", "-")]  # --json - is stdout
+    for i, (flag, path) in enumerate(named):
+        for other, other_path in named[i + 1:]:
+            try:
+                same = os.path.samefile(path, other_path)
+            except OSError:
+                same = os.path.realpath(path) == os.path.realpath(other_path)
+            if same:
+                raise ValueError(
+                    f"{flag} {path} and {other} {other_path} name the same file")
 
 
 def _signs(bits) -> str:
@@ -248,60 +254,11 @@ def cmd_itc(args) -> Tuple[Any, List[str]]:
 
 
 def cmd_scan_exceptions(args) -> Tuple[Any, List[str]]:
-    """Triangles with side cosines p/q in (-1, 1), 2 <= q <= --max-den, and an
-    angle from --turns whose third side is rational yet not their product.
-
-    At an angle with rational cos^2 = c and cos != 0, sides a = p/q and b
-    have a rational third side exactly when b's kernel (the squarefree part
-    of v^2 - u^2 for b = u/v) is that of x*z, with x the kernel of q^2 - p^2
-    and z that of c's numerator times denominator. Other angles give an
-    irrational third side, or a*b. So each a visits one bucket of sides per
-    angle, and spherical_third_side certifies each candidate.
-    """
+    """The triangles of `exact.exceptional_triangles`, listed one a line."""
     if args.max_den < 2:
         raise ValueError(f"--max-den must be >= 2, got {args.max_den}")
-    sides = [c for q in range(2, args.max_den + 1) for p in range(1 - q, q)
-             if (c := Fraction(p, q)).denominator == q]
-    # Squarefree part of every k <= 2N, and so of q^2 - p^2 = (q - p)(q + p).
-    top = 2 * args.max_den
-    kernel = list(range(top + 1))
-    for square in (i * i for i in range(2, math.isqrt(top) + 1)):
-        for k in range(square, top + 1, square):
-            while kernel[k] % square == 0:
-                kernel[k] //= square
-
-    def product_kernel(x: int, y: int) -> int:
-        g = math.gcd(x, y)
-        return (x // g) * (y // g)
-
-    side_kernels = [product_kernel(kernel[c.denominator - c.numerator],
-                                   kernel[c.denominator + c.numerator])
-                    for c in sides]
-    buckets: Dict[int, List[int]] = {}
-    for j, x in enumerate(side_kernels):
-        buckets.setdefault(x, []).append(j)
-    # cos^2 is 1 or 1/4 at a nonzero rational cosine, and b^2 * d at a surd
-    # b*sqrt(d), whose radicand niven_cosine gives as 2 or 3.
-    angle_kernels = []
-    for t, phi in enumerate(args.turns):
-        cert = niven_cosine(phi)
-        if cert.is_rational and cert.rational:
-            angle_kernels.append((t, 1))
-        elif cert.surd is not None:
-            angle_kernels.append((t, kernel[cert.surd.d.numerator]))
-
-    found = []
-    for a, x in zip(sides, side_kernels):
-        # A bucket side of smaller denominator is the mirror of a listed
-        # pair, so skipping those costs no more than the output.
-        for j, t in sorted((j, t) for t, z in angle_kernels
-                           for j in buckets.get(product_kernel(x, z), ())
-                           if sides[j].denominator >= a.denominator):
-            b, phi = sides[j], args.turns[t]
-            third = spherical_third_side(a, b, phi)
-            if third.is_rational and a * b != third.rational:
-                found.append({"cos_ab": a, "cos_bc": b, "turns": phi.turns,
-                              "third_side": third.rational})
+    found = [{"cos_ab": a, "cos_bc": b, "turns": t, "third_side": c}
+             for a, b, t, c in exceptional_triangles(args.max_den, args.turns)]
     lines = [f"cos_ab={t['cos_ab']}, cos_bc={t['cos_bc']}, "
              f"phi={t['turns']} turns -> {t['third_side']}" for t in found]
     lines.append(f"{len(found)} exceptional triangles found")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 # cos(2pi * n/d) for reduced n/d is rational exactly at these d (phi an
 # exact multiple of 60 or 90 degrees), and there it is independent of n, so
@@ -346,3 +346,53 @@ def itc_verdict(cos_ab: Fraction, cos_bc: Fraction,
         reason = ("cos^2 of the interior angle is irrational, so the cross term "
                   "cannot be rational")
     return TriangleVerdict(possible=possible, third_side=third, reason=reason)
+
+
+def _product_kernel(x: int, y: int) -> int:
+    """The squarefree kernel of x*y, for squarefree x and y."""
+    g = math.gcd(x, y)
+    return (x // g) * (y // g)
+
+
+def exceptional_triangles(max_den: int, turns: Sequence[RationalAngle]
+                          ) -> Iterator[tuple[Fraction, Fraction, Fraction, Fraction]]:
+    """(cos_ab, cos_bc, turns, third side) for each triangle with side
+    cosines p/q in (-1, 1), 2 <= q <= max_den, and an angle from `turns`
+    whose third side is rational yet not the product of its sides; by side
+    a, then side b, then angle in the order given.
+
+    At an angle with rational cos^2 = c and cos != 0, sides a = p/q and b
+    have a rational third side exactly when b's kernel (the squarefree part
+    of v^2 - u^2 for b = u/v) is that of x*z, with x the kernel of q^2 - p^2
+    and z (1, 2 or 3) that of c's numerator times denominator. Other angles
+    give an irrational third side, or a*b. So each a visits one bucket of
+    sides per angle, and spherical_third_side certifies each candidate.
+    """
+    sides = [c for q in range(2, max_den + 1) for p in range(1 - q, q)
+             if (c := Fraction(p, q)).denominator == q]
+    # Squarefree part of every k <= 2N, and so of q^2 - p^2 = (q - p)(q + p).
+    kernel = list(range(2 * max_den + 1))
+    for square in (i * i for i in range(2, math.isqrt(2 * max_den) + 1)):
+        for k in range(square, len(kernel), square):
+            while kernel[k] % square == 0:
+                kernel[k] //= square
+    side_kernels = [_product_kernel(kernel[c.denominator - c.numerator],
+                                    kernel[c.denominator + c.numerator])
+                    for c in sides]
+    buckets: dict[int, list[int]] = {}
+    for j, x in enumerate(side_kernels):
+        buckets.setdefault(x, []).append(j)
+    # cos^2 is None where irrational and 0 where cos is 0: no bucket to visit.
+    angle_kernels = [(t, _extract_square_factor(c2.numerator * c2.denominator)[1])
+                     for t, phi in enumerate(turns)
+                     if (c2 := _COS_SQ_BY_DENOMINATOR.get(phi.denominator))]
+    for a, x in zip(sides, side_kernels):
+        # A bucket side of smaller denominator is the mirror of a listed
+        # pair, so skipping those costs no more than the output.
+        for j, t in sorted((j, t) for t, z in angle_kernels
+                           for j in buckets.get(_product_kernel(x, z), ())
+                           if sides[j].denominator >= a.denominator):
+            b, phi = sides[j], turns[t]
+            third = spherical_third_side(a, b, phi)
+            if third.is_rational and a * b != third.rational:
+                yield a, b, phi.turns, third.rational

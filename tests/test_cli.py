@@ -459,18 +459,46 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
         assert Path("a").read_text() == ""
 
+    @pytest.mark.parametrize("output", ["--json", "--csv"])
+    @pytest.mark.parametrize("config_path,output_path,link", [
+        ("run.cfg", "run.cfg", False), ("run.cfg", "./run.cfg", False),
+        ("./run.cfg", "run.cfg", False), ("run.cfg", "other.cfg", True),
+    ], ids=["same-name", "dot-slash-output", "dot-slash-config", "hard-link"])
+    def test_output_on_the_config_file_rejected(self, capsys, tmp_path, monkeypatch,
+                                                output, config_path, output_path,
+                                                link):
+        # The report would overwrite the config that replays the run: exit 2
+        # before any file is opened, and the config keeps its bytes.
+        monkeypatch.chdir(tmp_path)
+        config = b"angles = 0,1/6,1/3\nL = 8\ntrials = 100\nseed = 1\n"
+        Path("run.cfg").write_bytes(config)
+        if link:
+            os.link("run.cfg", output_path)
+        code, out, err = run(capsys, "bell", "--config", config_path,
+                             output, output_path)
+        assert (code, out) == (2, "")
+        assert err == (f"error: --config {config_path} and {output} {output_path} "
+                       "name the same file\n")
+        assert Path("run.cfg").read_bytes() == config
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            {"run.cfg", Path(output_path).name})
+
     @pytest.mark.parametrize("argv", [
         ("sphere", "--L", "3"),
         ("bell", "--angles", "0,1/6,1/3", "--L", "360", "--trials", "1000",
          "--seed", "1"),
-    ], ids=["sphere", "bell"])
+        ("bell", "--config", "run.cfg"),
+    ], ids=["sphere", "bell", "bell-config"])
     def test_csv_and_json_on_two_files_both_written(self, capsys, tmp_path,
                                                     monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
+        config = "angles = 0,1/6,1/3\nL = 8\ntrials = 100\nseed = 1\n"
+        Path("run.cfg").write_text(config)
         code, _, _ = run(capsys, *argv, "--csv", "x", "--json", "y")
         assert code == 0
         assert json.loads(Path("y").read_text())["manifest"]["outputs"] == ["x"]
         assert Path("x").read_text().count("\n") > 1
+        assert Path("run.cfg").read_text() == config
 
     @pytest.mark.parametrize("literal", ["1_0", "\u0664", "1e1", "4.0"])
     @pytest.mark.parametrize("argv", [

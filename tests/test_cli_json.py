@@ -185,3 +185,14 @@ def test_unserialisable_report_leaves_no_file(tmp_path):
     with pytest.raises(TypeError, match="set is not JSON serialisable"):
         cli.emit(args, {"trace": ["01.-10."] * 200, "bad": {1, 2}}, [])
     assert not path.exists()
+
+
+@pytest.mark.parametrize("L", [1, 64, 65, 1024])
+def test_measure_report_with_its_trace_is_json_dumps(L):
+    """`to_jsonable` expands a `measure` trace to its steps, so json.dumps
+    writes the report as `json_chunks` does."""
+    report, _ = cli.cmd_measure(argparse.Namespace(m=L // 2, n=L // 3, L=L, seed=5))
+    payload = {"schema_version": cli.SCHEMA_VERSION, "report": report}
+    assert isinstance(report["trace"], cli._HalvingTrace)
+    assert to_json(payload) == dumps(payload)
+    assert len(json.loads(dumps(payload))["report"]["trace"]) == L

@@ -1,5 +1,6 @@
-"""`scan-exceptions` visits one bucket of sides per side and angle; the plain
-double loop over every pair of sides and every angle is the reference."""
+"""`exact.exceptional_triangles` visits one bucket of sides per side and
+angle; the plain double loop over every pair of sides and every angle is the
+reference. `scan-exceptions` only lists what the generator yields."""
 
 from argparse import Namespace
 from fractions import Fraction
@@ -9,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rationalqm.cli import cmd_scan_exceptions
-from rationalqm.exact import RationalAngle, spherical_third_side
+from rationalqm.exact import (RationalAngle, exceptional_triangles,
+                              spherical_third_side)
 
 
 def reference_scan(max_den: int, turns: list) -> list:
     sides = [c for q in range(2, max_den + 1) for p in range(1 - q, q)
              if (c := Fraction(p, q)).denominator == q]
-    return [{"cos_ab": a, "cos_bc": b, "turns": phi.turns, "third_side": third.rational}
+    return [(a, b, phi.turns, third.rational)
             for a in sides for b in sides if b.denominator >= a.denominator
             for phi in turns
             if (third := spherical_third_side(a, b, phi)).is_rational
@@ -23,8 +25,7 @@ def reference_scan(max_den: int, turns: list) -> list:
 
 
 def scan(max_den: int, turns: list) -> list:
-    report, _ = cmd_scan_exceptions(Namespace(max_den=max_den, turns=turns))
-    return report["triangles"]
+    return list(exceptional_triangles(max_den, turns))
 
 
 def angles(text: str) -> list:
@@ -53,3 +54,24 @@ def test_matches_the_double_loop_up_to_12(name):
 def test_matches_the_double_loop_on_random_turn_sets(max_den, turns):
     angles = [RationalAngle(t) for t in turns]
     assert scan(max_den, angles) == reference_scan(max_den, angles)
+
+
+@pytest.mark.parametrize("irrational", ["1/5", "1/10", "1/5,1/10"])
+@pytest.mark.parametrize("max_den", [2, 12, 20])
+def test_an_angle_with_irrational_cos_squared_adds_nothing(irrational, max_den):
+    alone = scan(max_den, angles("1/8"))
+    assert scan(max_den, angles(f"1/8,{irrational}")) == alone
+    assert scan(max_den, angles(f"{irrational},1/8")) == alone
+    assert scan(max_den, angles(irrational)) == []
+
+
+def test_the_command_lists_what_the_generator_yields():
+    turns = angles(TURN_SETS["default"])
+    report, lines = cmd_scan_exceptions(Namespace(max_den=12, turns=turns))
+    expected = reference_scan(12, turns)
+    assert len(expected) == 496
+    assert report == {"max_den": 12, "triangles": [
+        {"cos_ab": a, "cos_bc": b, "turns": t, "third_side": c}
+        for a, b, t, c in expected]}
+    assert lines == [f"cos_ab={a}, cos_bc={b}, phi={t} turns -> {c}"
+                     for a, b, t, c in expected] + ["496 exceptional triangles found"]
