@@ -119,8 +119,10 @@ def _extract_square_factor(n: int) -> tuple[int, int]:
     Only the primes <= 97 that divide n are tried, read off
     gcd(n, 2*3*...*97). The remainder n0 is guaranteed not to be a perfect
     square (final isqrt check), which is all the Surd certificate requires;
-    n0 need not be squarefree.
+    n0 need not be squarefree. n must be >= 1: no s divides out of 0.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     s = 1
     g = math.gcd(n, _SMALL_PRIMES_PRODUCT)
     for p in _SMALL_PRIMES:

@@ -249,10 +249,11 @@ def _pair_seed(seed: int, index: int) -> int:
     return seed * 1_000_003 + index
 
 
-# Most 32-bit words drawn per round; bounds the big ints a round holds. At
-# 2^14 glibc's malloc gave a pair's freed ints back and faulted them in again:
-# 290-730 minor page faults per README-setting bell op (ru_minflt), 0.03 at
-# 2^12. A pair runs as fast at 2^12 as at 2^11, and faster than at 2^13.
+# Most 32-bit lanes per round, each holding up to 32 // (b + 1) draws;
+# bounds the big ints a round holds. At 2^14 glibc's malloc gave a pair's
+# freed ints back and faulted them in again: about 370 minor page faults per
+# README-setting bell op (ru_minflt), 0.07-0.09 at 2^12. A pair runs as fast
+# at 2^12 as at 2^11, and about 6% faster than at 2^13.
 _MAX_LANES = 1 << 12
 
 
@@ -266,25 +267,38 @@ def _singlet_product_sum(L: int, k: int, trials: int,
     randrange(L) redraws getrandbits(b), b = L.bit_length(), while the result
     is >= L, and getrandbits(b) is the top b bits of one Mersenne Twister
     word. getrandbits(32 * n) packs the next n words, least significant
-    first, and a round masks each 32-bit lane to its draw in place. Adding
-    (2^b - c) << (32 - b) to every lane carries into the next lane's bit 0,
-    cleared by the mask as b <= 31, exactly where the draw is >= c. So the
+    first. A round reads f such integers and packs them into n 32-bit lanes
+    of up to 32 // (b + 1) fields: field i holds its word's draw at bits
+    [32 - b - i(b + 1), 32 - i(b + 1)) of the lane, and the bit above each
+    draw, field 0's being the next lane's bit 0, is clear. Adding 2^b - c to
+    every field carries into that bit exactly where the draw is >= c. So the
     carries count the draws below L, and the carries of the XOR of the sums
-    for k and L - k those in [k, L - k). No round draws past the last trial.
+    for k and L - k those in [k, L - k). A round draws no more words than
+    there are trials left and counts every word it draws, so the stream
+    stops on the same word as the loop.
     """
     b = L.bit_length()  # bell_run keeps b <= 31
-    total = lanes = 0
+    width = b + 1
+    fields = 32 // width  # 3 at b = 9, 1 for every b >= 16
+    total = 0
+    shape = None
     while trials > 0:
-        n = min(trials, _MAX_LANES)
-        if n != lanes:
-            lanes = n
+        n = min(_MAX_LANES, max(1, trials // fields))
+        f = min(fields, trials // n)
+        if (n, f) != shape:
+            shape = n, f
             ones = int.from_bytes(b"\1\0\0\0" * n, "little")  # 1 in every lane
             draw_mask = ones * ((1 << b) - 1) << (32 - b)
-            carry_mask = ones << 32
-            off_k, off_end, off_L = (ones * ((1 << b) - c) << (32 - b)
-                                     for c in (k, L - k, L))
-        words = rng.getrandbits(32 * n) & draw_mask
-        accepted = n - ((words + off_L) & carry_mask).bit_count()
+            # v at the low bit of each of the f fields of every lane; v = 2^b
+            # is the field's carry bit. No field reaches a lane's bit 0, so
+            # the lanes' copies do not overlap.
+            carry_mask, off_k, off_end, off_L = (
+                ones * sum(v << (32 - b - i * width) for i in range(f))
+                for v in (1 << b, (1 << b) - k, (1 << b) - (L - k), (1 << b) - L))
+        words = 0
+        for i in range(f):
+            words |= (rng.getrandbits(32 * n) & draw_mask) >> i * width
+        accepted = f * n - ((words + off_L) & carry_mask).bit_count()
         inside = (((words + off_k) ^ (words + off_end)) & carry_mask).bit_count()
         total += accepted - 2 * inside
         trials -= accepted

@@ -64,6 +64,16 @@ CASES = {
                          "--json", "-"],
     "bell-L2147483646": ["bell", "--angles", "0,1/6,1/3", "--L", "2147483646",
                          "--trials", "1000", "--seed", "9", "--json", "-"],
+    "bell-L2-fields10": ["bell", "--angles", "0,1/6,1/3", "--L", "2",
+                         "--trials", "100000", "--seed", "5", "--json", "-"],
+    "bell-L6-fields8": ["bell", "--angles", "0,1/6,1/3", "--L", "6",
+                        "--trials", "100000", "--seed", "5", "--json", "-"],
+    "bell-L10-fields6": ["bell", "--angles", "0,1/6,1/3", "--L", "10",
+                         "--trials", "100000", "--seed", "5", "--json", "-"],
+    "bell-L18-fields5": ["bell", "--angles", "0,1/6,1/3", "--L", "18",
+                         "--trials", "100000", "--seed", "5", "--json", "-"],
+    "bell-L34-fields4": ["bell", "--angles", "0,1/6,1/3", "--L", "34",
+                         "--trials", "100000", "--seed", "5", "--json", "-"],
     "mz-rational": ["mz", "--turns", "1/4", "--json", "-"],
     "mz-niven": ["mz", "--turns", "1/5", "--json", "-"],
     "delayed-choice-in": ["delayed-choice", "--turns", "1/5", "--mirror", "in",
@@ -88,6 +98,11 @@ CASES = {
 
 # name: (exit code, stdout sha256, stderr sha256, {written file: sha256})
 GOLDEN = {
+    'bell-L10-fields6': (0, 'd7bf359872c1a320', '', {}),
+    'bell-L18-fields5': (0, '9a8db56fbdf5335f', '', {}),
+    'bell-L2-fields10': (0, '1d343147c4748c4d', '', {}),
+    'bell-L34-fields4': (0, '5380ccba73d707bb', '', {}),
+    'bell-L6-fields8': (0, '935f045945b6d256', '', {}),
     'bell-L1024-niven': (0, '711508b8553b4ddd', '', {'bell.csv': 'aa7021d951c7dd03'}),
     'bell-L2147483646': (0, 'cea9fe048150d4b4', '', {}),
     'bell-L2': (0, '402982ed6fde252d', '', {}),

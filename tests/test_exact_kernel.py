@@ -4,12 +4,17 @@ certificates against freshly built ones, and the `Surd` radicand checks."""
 
 import dataclasses
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from rationalqm import exact
 from rationalqm.exact import (ExactCosine, RationalAngle, Surd,
                               _extract_square_factor, _surd, niven_cosine)
 
@@ -51,6 +56,24 @@ class TestExtractSquareFactor:
         # 101^2 is not divided out, and 101^2 * 7167894 is not a square
         assert _extract_square_factor(73119686694) == (1, 73119686694)
         assert reference_square_factor(73119686694) == (1, 73119686694)
+
+    def test_n_below_one_raises_at_once(self):
+        # In a child process with a timeout, so that a loop that never ends
+        # fails this test rather than hanging the suite.
+        script = """
+from rationalqm.exact import _extract_square_factor
+for n in (0, -1, -4):
+    try:
+        _extract_square_factor(n)
+    except ValueError as exc:
+        assert str(exc) == f"need n >= 1, got {n}", exc
+    else:
+        raise SystemExit(f"no ValueError for n = {n}")
+"""
+        src = Path(exact.__file__).resolve().parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-c", script], timeout=20, check=True,
+                       env=dict(os.environ, PYTHONPATH=path))
 
     def test_seeded_itc_radicands(self):
         # n*d of r*cos^2 as the third-side core forms it, sides p/q and u/v

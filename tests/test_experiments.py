@@ -498,7 +498,24 @@ class TestUniformPositionSum:
                              ids=["1", "100", "M-1", "M", "M+1", "2M+1"])
     def test_matches_interval_loop_at_every_width(self, L, trials):
         # draws of 1 to 31 bits, with trials at the edges of a round of
-        # M lanes; totals and the stream's end state both match
+        # M lanes
+        self.check_against_interval_loop(L, trials)
+
+    @pytest.mark.parametrize("L, fields", [(1, 16), (2, 10), (4, 8), (8, 6), (16, 5),
+                                           (32, 4), (128, 3), (512, 2),
+                                           (2 ** 15 - 1, 2), (2 ** 15, 1)])
+    @pytest.mark.parametrize("lanes, extra", [(1, -1), (M, -1), (M, 0), (M, 1)],
+                             ids=["fields-1", "fields*M-1", "fields*M", "fields*M+1"])
+    def test_matches_interval_loop_at_packed_round_edges(self, L, fields, lanes, extra):
+        # fields = 32 // (L.bit_length() + 1) draws share a lane; trials one
+        # short of a full lane, and one short of, equal to and one past a
+        # full round of M lanes
+        assert fields == 32 // (L.bit_length() + 1)
+        self.check_against_interval_loop(L, fields * lanes + extra)
+
+    @staticmethod
+    def check_against_interval_loop(L, trials):
+        # totals and the stream's end state both match
         for k in sorted({0, 1, L // 3, L // 2}):
             if 2 * k > L:
                 continue
