@@ -154,7 +154,7 @@ def emit(args: argparse.Namespace, report: Any, summary_lines: List[str]) -> Non
         if args.json == "-":
             sys.stdout.writelines(chunks)
         else:
-            with open(args.json, "w") as fh:
+            with open(args.json, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
     for line in summary_lines + [f"csv written to {path}" for path in outputs]:
         print(line)
@@ -228,7 +228,7 @@ def cmd_sphere(args) -> Tuple[Any, List[str]]:
                           lattice_to_csv)
     count = lattice_size(args.L)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             lattice_to_csv(args.L, fh)
     report = {"L": args.L, "points": count, "rows": None}
     lines = [f"lattice at L={args.L}: {count} points"]
@@ -319,10 +319,16 @@ def cmd_mz(args) -> Tuple[Any, List[str]]:
 
 
 def cmd_delayed_choice(args) -> Tuple[Any, List[str]]:
-    from .experiments import delayed_choice
-    report = delayed_choice(args.turns, args.mirror == "in")
-    return report, [f"configuration demands: {report.demanded}",
-                    f"satisfied: {report.satisfied} ({report.certificate.describe()})"]
+    from .experiments import mz_simulate
+    mz = mz_simulate(args.turns)
+    mirror_in = args.mirror == "in"
+    report = {"phi": mz.phi, "second_mirror_in": mirror_in,
+              "demanded": "cos(phi) rational" if mirror_in else "phi/2pi rational",
+              "satisfied": mz.output_definable if mirror_in else mz.inside_definable,
+              "certificate": mz.output_certificate}
+    return report, [f"configuration demands: {report['demanded']}",
+                    f"satisfied: {report['satisfied']} "
+                    f"({mz.output_certificate.describe()})"]
 
 
 def cmd_uncertainty(args) -> Tuple[Any, List[str]]:
@@ -365,7 +371,7 @@ def cmd_bell(args) -> Tuple[Any, List[str]]:
     a, b, c = angles
     report = bell_run(a, b, c, args.L, args.trials, args.seed)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             fh.write("label,relative_turns,nominal_cos,snapped_cos,trials,"
                      "correlation,std_error,predicted_nominal,predicted_snapped\n")
             for p in report.pairs:
@@ -387,9 +393,9 @@ def cmd_bell(args) -> Tuple[Any, List[str]]:
 def parse_config_file(path: str) -> Dict[str, Any]:
     """Plain-text key=value config: angles (comma-separated turn fractions),
     L, trials, seed. Blank lines and '#' comments ignored; a key may appear
-    only once."""
+    only once. The file is read as UTF-8 whatever the locale."""
     out: Dict[str, Any] = {}
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         text = f.read()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

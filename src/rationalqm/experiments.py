@@ -1,5 +1,5 @@
 """Physics demonstrations on the discretised sphere: interferometer
-definability, delayed choice, uncertainty relations and the Bell harness.
+definability, uncertainty relations and the Bell harness.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ CosineValue = Union[Fraction, float]
 
 
 # ---------------------------------------------------------------------------
-# Mach-Zehnder interferometer and delayed choice
+# Mach-Zehnder interferometer
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -34,9 +34,11 @@ def mz_simulate(phi: RationalAngle) -> MZReport:
     """Two-beamsplitter state algebra with exact definability certificates.
 
     Inside the interferometer the squared amplitudes are 1/2 and the phase is
-    a rational turn fraction, so the inside basis is always definable for a
-    rational-turn input. The output basis needs cos^2(phi/2), hence cos(phi),
-    rational; the two demands only coincide on the exceptional angles.
+    a rational turn fraction, so the inside basis, the which-path basis that
+    delayed choice demands with the second beamsplitter out, is always
+    definable for a rational-turn input. The output basis, demanded with it
+    in, needs cos^2(phi/2), hence cos(phi), rational; the two demands only
+    coincide on the exceptional angles.
     """
     cert = niven_cosine(phi)
     if cert.is_rational:
@@ -57,29 +59,6 @@ def mz_simulate(phi: RationalAngle) -> MZReport:
         output_certificate=cert,
         output_probabilities=probs,
     )
-
-
-@dataclass(frozen=True)
-class DelayedChoiceReport:
-    phi: RationalAngle
-    second_mirror_in: bool
-    demanded: str
-    satisfied: bool
-    certificate: ExactCosine
-
-
-def delayed_choice(phi: RationalAngle, second_mirror_in: bool) -> DelayedChoiceReport:
-    """Which rationality condition the configuration demands of the phase.
-
-    Mirror in: the output basis demands cos(phi) rational. Mirror out: the
-    which-path basis demands only the turn fraction rational, which a
-    rational-turn input satisfies by construction.
-    """
-    cert = niven_cosine(phi)
-    return DelayedChoiceReport(
-        phi=phi, second_mirror_in=second_mirror_in,
-        demanded="cos(phi) rational" if second_mirror_in else "phi/2pi rational",
-        satisfied=cert.is_rational or not second_mirror_in, certificate=cert)
 
 
 # ---------------------------------------------------------------------------

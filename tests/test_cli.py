@@ -670,6 +670,26 @@ class TestConfigFile:
         assert code == 0
         assert "seed 12" in out
 
+    def test_replays_under_the_c_locale(self, capsys, tmp_path):
+        # A config is read, and the reports written, as UTF-8 whatever the
+        # locale: under C with no coercion the default encoding is ASCII,
+        # which cannot decode the theta in the config's comment.
+        cfg = tmp_path / "bell.cfg"
+        cfg.write_text("# theta = \u03b8_AB\nangles = 0,1/6,1/3\nL = 360\n"
+                       "trials = 500\nseed = 4\n", encoding="utf-8")
+        env = dict(src_env(), LC_ALL="C", LANG="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rationalqm", "bell", "--config", str(cfg),
+             "--csv", "c.csv", "--json", "c.json"],
+            capture_output=True, cwd=tmp_path, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        code, out, _ = run(capsys, "bell", "--config", str(cfg))
+        assert proc.stdout.decode("ascii") == out + "csv written to c.csv\n"
+        report = json.loads((tmp_path / "c.json").read_text(encoding="utf-8"))
+        assert report["manifest"]["config"]["seed"] == 4
+        assert (tmp_path / "c.csv").read_text(encoding="utf-8").count("\n") == 4
+
 
 def encode(obj):
     """A value as `emit` encodes it, decoded back."""

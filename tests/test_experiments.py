@@ -7,12 +7,13 @@ import mpmath
 import pytest
 
 from rationalqm import experiments, states
-from rationalqm.exact import RationalAngle, itc_verdict, parse_fraction
+from rationalqm.cli import build_parser
+from rationalqm.exact import (RationalAngle, itc_verdict, niven_cosine,
+                              parse_fraction)
 from rationalqm.experiments import (_pair_seed, _singlet_product_sum,
                                     _sqrt_float,
                                     aggregate_directions,
-                                    bell_run, delayed_choice,
-                                    mz_simulate,
+                                    bell_run, mz_simulate,
                                     position_momentum_aggregate,
                                     single_trial_outcomes,
                                     snap_to_lattice, uncertainty_check)
@@ -97,23 +98,44 @@ class TestMachZehnder:
                         assert abs(got - want) <= 8 * math.ulp(want), t
 
 
+def delayed_choice(turns, mirror):
+    """The report of `rationalqm delayed-choice --turns TURNS --mirror MIRROR`."""
+    args = build_parser().parse_args(["delayed-choice", "--turns", str(turns),
+                                      "--mirror", mirror])
+    report, _ = args.func(args)
+    return report
+
+
 class TestDelayedChoice:
     def test_mirror_out_always_satisfied(self):
         for t in ("1/5", "1/7", "1/4"):
-            report = delayed_choice(angle(t), second_mirror_in=False)
-            assert report.satisfied
-            assert report.demanded == "phi/2pi rational"
+            report = delayed_choice(t, "out")
+            assert report["satisfied"]
+            assert report["demanded"] == "phi/2pi rational"
 
     def test_mirror_in_needs_rational_cosine(self):
-        assert delayed_choice(angle("1/6"), True).satisfied
-        assert not delayed_choice(angle("1/5"), True).satisfied
+        assert delayed_choice("1/6", "in")["satisfied"]
+        assert not delayed_choice("1/5", "in")["satisfied"]
 
     def test_late_insertion_changes_the_demand_not_the_phase(self):
-        phi = angle("1/5")
-        late_in = delayed_choice(phi, True)
-        late_out = delayed_choice(phi, False)
-        assert late_in.demanded != late_out.demanded
-        assert late_in.certificate == late_out.certificate
+        late_in = delayed_choice("1/5", "in")
+        late_out = delayed_choice("1/5", "out")
+        assert late_in["demanded"] != late_out["demanded"]
+        assert late_in["phi"] == late_out["phi"]
+        assert late_in["certificate"] == late_out["certificate"]
+
+    @pytest.mark.parametrize("mirror", ["in", "out"])
+    def test_every_turn_to_denominator_24(self, mirror):
+        # With the mirror in, cos(phi) must be rational: by Niven's theorem,
+        # exactly at the reduced denominators 1, 2, 3, 4 and 6. With it out,
+        # every rational turn is which-path definable.
+        for t in turns_up_to(24):
+            report = delayed_choice(t, mirror)
+            assert report["phi"] == RationalAngle(t)
+            assert report["second_mirror_in"] is (mirror == "in")
+            want = t.denominator in {1, 2, 3, 4, 6} if mirror == "in" else True
+            assert report["satisfied"] is want, t
+            assert report["certificate"] == niven_cosine(RationalAngle(t)), t
 
 
 def half_difference(phi_a, phi_b):

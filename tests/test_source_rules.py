@@ -27,9 +27,9 @@ def test_no_assert_statements():
     assert found == []
 
 
-def _used_names(node: ast.AST) -> Counter:
+def _used_names(node: ast.AST, kinds=(ast.Name, ast.Attribute)) -> Counter:
     return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+                   for n in ast.walk(node) if isinstance(n, kinds))
 
 
 def _module_definitions(tree: ast.Module):
@@ -67,16 +67,16 @@ def _public_members(tree: ast.Module):
                         and not node.name.startswith("_"))
 
 
-def _unreached(definitions, exempt=("tests/test_acceptance.py",)) -> set:
+def _unreached(definitions, exempt=("tests/test_acceptance.py",),
+               kinds=(ast.Name, ast.Attribute)) -> set:
     """Labels of the definitions whose name is used in `src/` only inside the
-    definition itself, and not at all in the `exempt` files. Names are
-    matched as names, so a member that shares its name with anything else
-    used in `src/` counts as reached."""
+    definition itself, and not at all in the `exempt` files. A use is a node
+    of one of `kinds` that carries the name."""
     trees = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
-    used = sum((_used_names(tree) for tree in trees), Counter())
-    outside = sum((_used_names(_parse(ROOT / f)) for f in exempt), Counter())
+    used = sum((_used_names(tree, kinds) for tree in trees), Counter())
+    outside = sum((_used_names(_parse(ROOT / f), kinds) for f in exempt), Counter())
     return {label for tree in trees for label, name, node in definitions(tree)
-            if used[name] == _used_names(node)[name] and name not in outside}
+            if used[name] == _used_names(node, kinds)[name] and name not in outside}
 
 
 def test_public_names_are_reached_outside_the_unit_tests():
@@ -84,7 +84,13 @@ def test_public_names_are_reached_outside_the_unit_tests():
 
 
 def test_public_members_are_reached_outside_the_unit_tests():
-    assert _unreached(_public_members) == set()
+    # A member is reached only as an attribute (`x.size`), so a local or a
+    # parameter that shares its name does not count. The benchmark's tracer
+    # reads `PNO.size` and `IntegerPair.steps` from the results it counts,
+    # so it is a reader beside the acceptance test.
+    assert _unreached(_public_members,
+                      exempt=("tests/test_acceptance.py", "qmbench/tracer.py"),
+                      kinds=ast.Attribute) == set()
 
 
 def test_private_names_are_used_in_src():
