@@ -94,6 +94,7 @@ CASES = {
     "scan-exceptions-5": ["scan-exceptions", "--max-den", "5"],
     "scan-exceptions-default": ["scan-exceptions"],
     "scan-exceptions-turns": ["scan-exceptions", "--max-den", "7", "--turns", "1/8,1/12"],
+    "scan-exceptions-40": ["scan-exceptions", "--max-den", "40", "--json", "scan.json"],
 }
 
 # name: (exit code, stdout sha256, stderr sha256, {written file: sha256})
@@ -122,6 +123,7 @@ GOLDEN = {
     'niven-irrational': (0, 'e46588da5f2420e9', '', {}),
     'niven-rational': (0, 'bb2207613e61694a', '', {}),
     'niven-surd': (0, '5031d6718c749033', '', {}),
+    'scan-exceptions-40': (0, '2dfb03777efb42cc', '', {'scan.json': 'ab94e324012bc98d'}),
     'scan-exceptions-5': (0, 'd15c22fcb8418495', '', {}),
     'scan-exceptions-default': (0, 'eb092993deb04a17', '', {}),
     'scan-exceptions-turns': (0, '89eeabb1a78573c7', '', {}),
