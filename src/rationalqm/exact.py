@@ -279,20 +279,11 @@ def spherical_third_side(cos_ab: Fraction, cos_bc: Fraction,
         cos t_AC = cos t_AB * cos t_BC + sin t_AB * sin t_BC * cos phi_C,
 
     where phi_C is the interior angle at the shared vertex and the sines are
-    the nonnegative roots of rational quantities.
+    the nonnegative roots of rational quantities: for cos_ab = p/q and
+    cos_bc = u/v, the sine product squared r = (q^2 - p^2)(v^2 - u^2) / (qv)^2.
     """
-    return _third_side(*_cosine_terms("cos_ab", cos_ab),
-                       *_cosine_terms("cos_bc", cos_bc), phi_c)
-
-
-def _third_side(p: int, q: int, u: int, v: int,
-                phi_c: RationalAngle) -> ExactCosine:
-    """spherical_third_side for cos_ab = p/q and cos_bc = u/v, already
-    checked to lie in [-1, 1].
-
-    The sine product squared is r = (q^2 - p^2)(v^2 - u^2) / (qv)^2; it stays
-    in integers and becomes a Fraction only where it enters the certificate.
-    """
+    p, q = _cosine_terms("cos_ab", cos_ab)
+    u, v = _cosine_terms("cos_bc", cos_bc)
     r_num = (q * q - p * p) * (v * v - u * u)
     if r_num == 0:
         # A pole: one sine factor vanishes, third side rational regardless.
@@ -334,11 +325,10 @@ def itc_verdict(cos_ab: Fraction, cos_bc: Fraction,
                 phi_c: RationalAngle) -> TriangleVerdict:
     """Impossible-triangle check: decide whether the configuration admits a
     rational third-side cosine, with a checkable certificate either way."""
-    p, q = _cosine_terms("cos_ab", cos_ab)
-    u, v = _cosine_terms("cos_bc", cos_bc)
-    third = _third_side(p, q, u, v, phi_c)
+    third = spherical_third_side(cos_ab, cos_bc, phi_c)
     possible = third.is_rational
-    if abs(p) == q or abs(u) == v:  # a pole: _third_side gave (p/q)(u/v)
+    # A pole makes the verdict possible: the third side is cos_ab * cos_bc.
+    if possible and (cos_ab in (1, -1) or cos_bc in (1, -1)):
         reason = "degenerate"
     elif possible:
         reason = f"third side has rational cosine {third.rational}"
@@ -363,12 +353,14 @@ def exceptional_triangles(max_den: int, turns: Sequence[RationalAngle]
     whose third side is rational yet not the product of its sides; by side
     a, then side b, then angle in the order given.
 
-    At an angle with rational cos^2 = c and cos != 0, sides a = p/q and b
-    have a rational third side exactly when b's kernel (the squarefree part
-    of v^2 - u^2 for b = u/v) is that of x*z, with x the kernel of q^2 - p^2
-    and z (1, 2 or 3) that of c's numerator times denominator. Other angles
-    give an irrational third side, or a*b. So each a visits one bucket of
-    sides per angle, and spherical_third_side certifies each candidate.
+    At an angle with rational cos^2 = c_n/c_d and cos != 0, sides a = p/q
+    and b = u/v have a rational third side exactly when b's kernel (the
+    squarefree part of v^2 - u^2) is that of x*z, with x the kernel of
+    q^2 - p^2 and z (1, 2 or 3) that of c_n*c_d. Other angles give an
+    irrational third side, or a*b. So each a visits one bucket of sides per
+    angle, and one isqrt gives each candidate's third side
+    (p*u*c_d +- sqrt(R)) / (q*v*c_d), R = (q^2 - p^2)(v^2 - u^2)*c_n*c_d > 0,
+    never a*b. An R that is not a square would refute this: RuntimeError.
     """
     sides = [c for q in range(2, max_den + 1) for p in range(1 - q, q)
              if (c := Fraction(p, q)).denominator == q]
@@ -384,17 +376,25 @@ def exceptional_triangles(max_den: int, turns: Sequence[RationalAngle]
     buckets: dict[int, list[int]] = {}
     for j, x in enumerate(side_kernels):
         buckets.setdefault(x, []).append(j)
-    # cos^2 is None where irrational and 0 where cos is 0: no bucket to visit.
-    angle_kernels = [(t, _extract_square_factor(c2.numerator * c2.denominator)[1])
-                     for t, phi in enumerate(turns)
-                     if (c2 := _COS_SQ_BY_DENOMINATOR.get(phi.denominator))]
+    # (t, z, c_n*c_d, c_d, sign) for each angle t; cos^2 is None where
+    # irrational and 0 where cos is 0, and then there is no bucket to visit.
+    angle_terms = [(t, _extract_square_factor(c2.numerator * c2.denominator)[1],
+                    c2.numerator * c2.denominator, c2.denominator,
+                    phi.cosine_sign())
+                   for t, phi in enumerate(turns)
+                   if (c2 := _COS_SQ_BY_DENOMINATOR.get(phi.denominator))]
     for a, x in zip(sides, side_kernels):
+        p, q = a.numerator, a.denominator
         # A bucket side of smaller denominator is the mirror of a listed
         # pair, so skipping those costs no more than the output.
-        for j, t in sorted((j, t) for t, z in angle_kernels
-                           for j in buckets.get(_product_kernel(x, z), ())
-                           if sides[j].denominator >= a.denominator):
+        for j, t, cc, c_d, sign in sorted(
+                (j, t, cc, c_d, sign) for t, z, cc, c_d, sign in angle_terms
+                for j in buckets.get(_product_kernel(x, z), ())
+                if sides[j].denominator >= q):
             b, phi = sides[j], turns[t]
-            third = spherical_third_side(a, b, phi)
-            if third.is_rational and a * b != third.rational:
-                yield a, b, phi.turns, third.rational
+            u, v = b.numerator, b.denominator
+            square = (q * q - p * p) * (v * v - u * u) * cc
+            root = math.isqrt(square)
+            if root * root != square:
+                raise RuntimeError(f"{a}, {b}, {phi.turns} turns: R is not a square")
+            yield a, b, phi.turns, Fraction(p * u * c_d + sign * root, q * v * c_d)

@@ -50,7 +50,7 @@ class TestSubcommands:
         path = tmp_path / "lattice.csv"
         code, out, _ = run(capsys, "sphere", "--L", "4", "--csv", str(path))
         assert code == 0
-        lines = path.read_text().strip().splitlines()
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "m,n,L,cos_theta,bits"
         assert len(lines) == 15
 
@@ -115,7 +115,7 @@ class TestSubcommands:
                            "--L", str(L), "--seed", str(seed), "--json", str(path))
         assert code == 0
         expected = reference_measure_report(m, n, L, seed)
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         payload = {"schema_version": cli.SCHEMA_VERSION,
                    "manifest": json.loads(text)["manifest"], "report": expected}
         assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -278,7 +278,7 @@ class TestExitCodes:
     ], ids=["config-key", "three-cosines", "samples", "singlet-cos"])
     def test_guard_message_exits_2(self, capsys, tmp_path, argv, message):
         cfg = tmp_path / "bell.cfg"
-        cfg.write_text("angles = 0,1/6,1/3\nbogus = 1\n")
+        cfg.write_text("angles = 0,1/6,1/3\nbogus = 1\n", encoding="utf-8")
         code, out, err = run(capsys, *(arg.format(cfg=cfg) for arg in argv))
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -431,14 +431,14 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "d").mkdir()
         if exists:
-            Path(json_path).write_text("kept\n")
+            Path(json_path).write_text("kept\n", encoding="utf-8")
         code, out, err = run(capsys, *argv, "--csv", csv_path, "--json", json_path)
         assert code == 2 and out == ""
         assert "--csv" in err and "--json" in err and "same file" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == (
             ["d", Path(json_path).name] if exists else ["d"])
         if exists:
-            assert Path(json_path).read_text() == "kept\n"
+            assert Path(json_path).read_text(encoding="utf-8") == "kept\n"
 
     @pytest.mark.parametrize("csv_path,json_path", [("a", "b"), ("b", "a")])
     @pytest.mark.parametrize("argv", [
@@ -457,7 +457,7 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"--csv {csv_path} and --json {json_path} name the same file" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
-        assert Path("a").read_text() == ""
+        assert Path("a").read_text(encoding="utf-8") == ""
 
     @pytest.mark.parametrize("output", ["--json", "--csv"])
     @pytest.mark.parametrize("config_path,output_path,link", [
@@ -493,12 +493,13 @@ class TestExitCodes:
                                                     monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         config = "angles = 0,1/6,1/3\nL = 8\ntrials = 100\nseed = 1\n"
-        Path("run.cfg").write_text(config)
+        Path("run.cfg").write_text(config, encoding="utf-8")
         code, _, _ = run(capsys, *argv, "--csv", "x", "--json", "y")
         assert code == 0
-        assert json.loads(Path("y").read_text())["manifest"]["outputs"] == ["x"]
-        assert Path("x").read_text().count("\n") > 1
-        assert Path("run.cfg").read_text() == config
+        manifest = json.loads(Path("y").read_text(encoding="utf-8"))["manifest"]
+        assert manifest["outputs"] == ["x"]
+        assert Path("x").read_text(encoding="utf-8").count("\n") > 1
+        assert Path("run.cfg").read_text(encoding="utf-8") == config
 
     @pytest.mark.parametrize("literal", ["1_0", "\u0664", "1e1", "4.0"])
     @pytest.mark.parametrize("argv", [
@@ -590,7 +591,7 @@ class TestJsonReports:
         path = tmp_path / "report.json"
         code, _, _ = run(capsys, "niven", "--turns", "1/6", "--json", str(path))
         assert code == 0
-        payload = json.loads(path.read_text())
+        payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["schema_version"] == 1
         assert payload["manifest"]["command"] == "niven"
         assert payload["manifest"]["tool_version"]
@@ -609,7 +610,7 @@ class TestJsonReports:
                              "--L", "360", "--trials", "500", "--seed", "9",
                              "--json", str(p))
             assert code == 0
-        a, b = (json.loads(p.read_text()) for p in paths)
+        a, b = (json.loads(p.read_text(encoding="utf-8")) for p in paths)
         assert a["report"] == b["report"]
         assert a["manifest"]["seed"] == b["manifest"]["seed"] == 9
 
@@ -618,7 +619,7 @@ class TestJsonReports:
         code, _, _ = run(capsys, "bell", "--angles", "0,1/6,1/3", "--L", "360",
                          "--trials", "500", "--seed", "9", "--csv", str(path))
         assert code == 0
-        lines = path.read_text().strip().splitlines()
+        lines = path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0].startswith("label,relative_turns,nominal_cos")
         assert len(lines) == 4
         assert lines[1].startswith("AB,")
@@ -628,16 +629,16 @@ class TestConfigFile:
     def test_parse(self, tmp_path):
         cfg = tmp_path / "bell.cfg"
         cfg.write_text("# comment\nangles = 0,1/6,1/3\nL = 360\n"
-                       "trials = 500\nseed = 4\n")
+                       "trials = 500\nseed = 4\n", encoding="utf-8")
         out = parse_config_file(str(cfg))
         assert out == {"angles": "0,1/6,1/3", "L": 360, "trials": 500, "seed": 4}
-        cfg.write_text("L = 3_60\n")
+        cfg.write_text("L = 3_60\n", encoding="utf-8")
         with pytest.raises(ValueError, match="not an integer"):
             parse_config_file(str(cfg))
 
     def test_bad_line(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("angles 0,1/6,1/3\n")
+        cfg.write_text("angles 0,1/6,1/3\n", encoding="utf-8")
         with pytest.raises(ValueError):
             parse_config_file(str(cfg))
 
@@ -650,7 +651,7 @@ class TestConfigFile:
         others = {"angles": "0,1/6,1/3", "L": "360", "trials": "500", "seed": "4"}
         cfg = tmp_path / "bell.cfg"
         cfg.write_text("".join(f"{k} = {v}\n" for k, v in others.items() if k != key)
-                       + lines)
+                       + lines, encoding="utf-8")
         with pytest.raises(ValueError, match=f"config key '{key}' is given twice"):
             parse_config_file(str(cfg))
         code, out, err = run(capsys, "bell", "--config", str(cfg))
@@ -658,14 +659,16 @@ class TestConfigFile:
 
     def test_bell_from_config(self, capsys, tmp_path):
         cfg = tmp_path / "bell.cfg"
-        cfg.write_text("angles = 0,1/6,1/3\nL = 360\ntrials = 500\nseed = 4\n")
+        cfg.write_text("angles = 0,1/6,1/3\nL = 360\ntrials = 500\nseed = 4\n",
+                       encoding="utf-8")
         code, out, _ = run(capsys, "bell", "--config", str(cfg))
         assert code == 0
         assert "Bell run at L=360, 500 trials/pair, seed 4" in out
 
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "bell.cfg"
-        cfg.write_text("angles = 0,1/6,1/3\nL = 360\ntrials = 500\nseed = 4\n")
+        cfg.write_text("angles = 0,1/6,1/3\nL = 360\ntrials = 500\nseed = 4\n",
+                       encoding="utf-8")
         code, out, _ = run(capsys, "bell", "--config", str(cfg), "--seed", "12")
         assert code == 0
         assert "seed 12" in out
@@ -784,7 +787,8 @@ class TestParserReuse:
 
     def test_cached_parser_matches_fresh_parser(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "bell.cfg"
-        cfg.write_text("angles = 0,1/6,1/3\nL = 360\ntrials = 500\nseed = 4\n")
+        cfg.write_text("angles = 0,1/6,1/3\nL = 360\ntrials = 500\nseed = 4\n",
+                       encoding="utf-8")
         argvs = [[a.format(cfg=cfg) for a in argv] for argv in self.ARGVS]
         monkeypatch.setattr(cli, "_parser", None)
         cached = [run_masked(capsys, *argvs[0])]
@@ -832,7 +836,7 @@ with contextlib.redirect_stdout(buf):
 print(json.dumps({"codes": codes, "mz_code": mz_code, "mz_out": buf.getvalue()}))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=src_env(), timeout=60, check=True)
+                          encoding="utf-8", env=src_env(), timeout=60, check=True)
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * 11
     assert result["mz_code"] == 0
@@ -894,7 +898,7 @@ def test_commands_load_only_their_modules(argvs, expected):
     """Parsing loads only `exact`; each command loads the package modules it
     calls, in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", LOADING_SCRIPT, json.dumps(argvs)],
-                          capture_output=True, text=True, env=src_env(),
+                          capture_output=True, encoding="utf-8", env=src_env(),
                           timeout=60, check=True)
     steps = json.loads(proc.stdout)
     assert [name for name, _, _ in steps] == ["build_parser"] + [a[0] for a in argvs]
@@ -918,7 +922,7 @@ cli.main(["niven", "--turns", "1/6", "--json", "-"])
 print(sorted(parsing), "json" in sys.modules, "datetime" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=src_env(), timeout=60, check=True)
+                          encoding="utf-8", env=src_env(), timeout=60, check=True)
     assert proc.stdout.splitlines()[-1] == "[] True True"
 
 
@@ -933,7 +937,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(code, "pathlib" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
-                          text=True, env=src_env(), timeout=60, check=True)
+                          encoding="utf-8", env=src_env(), timeout=60, check=True)
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
@@ -943,7 +947,7 @@ class TestModuleEntryPoint:
     @staticmethod
     def run_module(*argv):
         return subprocess.run([sys.executable, "-m", "rationalqm", *argv],
-                              capture_output=True, text=True, timeout=60,
+                              capture_output=True, encoding="utf-8", timeout=60,
                               env=src_env())
 
     def test_success_prints_what_main_prints(self, capsys):

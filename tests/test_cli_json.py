@@ -174,7 +174,7 @@ def test_measure_report_pieces_are_bounded(tmp_path, capsys):
                          "--seed", "5", "--json", str(path)]) == 0
     capsys.readouterr()  # the summary's two O(L) lines
     [chunks] = written
-    assert "".join(chunks) == path.read_text()
+    assert "".join(chunks) == path.read_text(encoding="utf-8")
     assert 1_050_000 < path.stat().st_size < 1_100_000
     assert max(map(len, chunks)) < 200_000
 

@@ -219,6 +219,18 @@ class TestItcVerdict:
         assert v.possible and v.reason == "degenerate"
         assert v.third_side == ExactCosine.from_rational(Fraction(3, 5))
 
+    @pytest.mark.parametrize("turns", [Fraction(1, 6), Fraction(3, 8), Fraction(1, 5)],
+                             ids=["rational-cos", "surd-cos", "niven-cos-sq"])
+    @pytest.mark.parametrize("pole", [1, -1, Fraction(1), Fraction(-1)],
+                             ids=["int+1", "int-1", "Fraction+1", "Fraction-1"])
+    @pytest.mark.parametrize("at_ab", [True, False], ids=["cos_ab", "cos_bc"])
+    def test_every_pole_is_degenerate(self, turns, pole, at_ab):
+        other = Fraction(2, 7)
+        sides = (pole, other) if at_ab else (other, pole)
+        v = itc_verdict(*sides, RationalAngle(turns))
+        assert v.possible and v.reason == "degenerate"
+        assert v.third_side == ExactCosine.from_rational(pole * other)
+
     def test_radicand_keeps_square_factors_of_large_primes(self):
         # 73119686694 = 101^2 * 7167894; only primes up to 97 are divided out
         v = itc_verdict(Fraction(0), Fraction(15301, 15302), RationalAngle(Fraction(1, 8)))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rationalqm import exact
 from rationalqm.cli import cmd_scan_exceptions
 from rationalqm.exact import (RationalAngle, exceptional_triangles,
                               spherical_third_side)
@@ -54,6 +55,29 @@ def test_matches_the_double_loop_up_to_12(name):
 def test_matches_the_double_loop_on_random_turn_sets(max_den, turns):
     angles = [RationalAngle(t) for t in turns]
     assert scan(max_den, angles) == reference_scan(max_den, angles)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the scan built a certificate")
+
+
+def test_the_scan_builds_no_certificate(monkeypatch):
+    # The kernel identity decides each triangle, and one isqrt gives its
+    # third side: no certificate is built for any candidate.
+    turns = angles(TURN_SETS["default"])
+    expected = reference_scan(12, turns)
+    monkeypatch.setattr(exact, "spherical_third_side", _refuse)
+    monkeypatch.setattr(exact, "_surd", _refuse)
+    monkeypatch.setattr(exact.ExactCosine, "__init__", _refuse)
+    assert scan(12, turns) == expected
+
+
+def test_a_candidate_without_a_square_root_raises(monkeypatch):
+    # With every kernel 1, all sides share one bucket, and the first candidate
+    # (-1/2, -1/2 at 1/8 turn) has R = 3 * 3 * 2, which is not a square.
+    monkeypatch.setattr(exact, "_product_kernel", lambda x, y: 1)
+    with pytest.raises(RuntimeError, match=r"-1/2, -1/2, 1/8 turns"):
+        scan(12, angles(TURN_SETS["default"]))
 
 
 @pytest.mark.parametrize("irrational", ["1/5", "1/10", "1/5,1/10"])

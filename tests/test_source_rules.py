@@ -6,6 +6,7 @@ mpmath, which only the tests use as an oracle; and `__main__.py` is the only
 module that runs as a script."""
 
 import ast
+import symtable
 from collections import Counter
 from pathlib import Path
 
@@ -14,7 +15,7 @@ PACKAGE = ROOT / "src" / "rationalqm"
 
 
 def _parse(path: Path) -> ast.Module:
-    return ast.parse(path.read_text(), str(path))
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
 
 
 def test_no_assert_statements():
@@ -27,9 +28,80 @@ def test_no_assert_statements():
     assert found == []
 
 
-def _used_names(node: ast.AST, kinds=(ast.Name, ast.Attribute)) -> Counter:
+_COMPREHENSIONS = {ast.ListComp: "listcomp", ast.SetComp: "setcomp",
+                   ast.DictComp: "dictcomp", ast.GeneratorExp: "genexpr"}
+
+
+def _scope_parts(node: ast.AST):
+    """(parts run in the enclosing scope, parts run in the node's own scope)
+    for a function, lambda, class or comprehension; None for other nodes."""
+    if isinstance(node, ast.ClassDef):
+        return [*node.decorator_list, *node.bases, *node.keywords], node.body
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+        outer = [*getattr(node, "decorator_list", ()), *a.defaults, *a.kw_defaults,
+                 getattr(node, "returns", None), *(p.annotation for p in params if p)]
+        return outer, [node.body] if isinstance(node, ast.Lambda) else node.body
+    if isinstance(node, tuple(_COMPREHENSIONS)):
+        first, *rest = node.generators
+        results = [getattr(node, f) for f in ("elt", "key", "value") if hasattr(node, f)]
+        return [first.iter], [*results, first.target, *first.ifs, *rest]
+    return None
+
+
+def _local_name_nodes(node: ast.AST, table: symtable.SymbolTable,
+                      local: frozenset = frozenset()):
+    """Yield each Name node under `node` that resolves to a local or free
+    name of a function, class or comprehension rather than to a module
+    global. `table` is the symbol table of the scope that runs `node`, and
+    `local` the names it binds; a module binds none. A name bound by an
+    import names another module's global, so it is not local."""
+    if isinstance(node, ast.Name):
+        if node.id in local:
+            yield node
+        return
+    parts = _scope_parts(node)
+    if parts is None:
+        for child in ast.iter_child_nodes(node):
+            yield from _local_name_nodes(child, table, local)
+        return
+    outer, inner = parts
+    name = getattr(node, "name", _COMPREHENSIONS.get(type(node), "lambda"))
+    own = next((t for t in table.get_children()
+                if t.get_name() == name and t.get_lineno() == node.lineno), None)
+    if own is None:
+        # A comprehension inlined into the enclosing scope (Python 3.12+),
+        # whose table then holds the comprehension's names.
+        own = table
+        own_local = local | {n.id for g in getattr(node, "generators", ())
+                             for n in ast.walk(g.target) if isinstance(n, ast.Name)}
+    else:
+        own_local = frozenset(s.get_name() for s in own.get_symbols()
+                              if (s.is_local() or s.is_free()) and not s.is_imported())
+    for part in outer:
+        if part is not None:
+            yield from _local_name_nodes(part, table, local)
+    for part in inner:
+        yield from _local_name_nodes(part, own, own_local)
+
+
+def _resolved(path: Path) -> tuple[ast.Module, set]:
+    """The module's tree, and the ids of its Name nodes that do not resolve
+    to a module global."""
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text, str(path))
+    table = symtable.symtable(text, str(path), "exec")
+    return tree, {id(n) for n in _local_name_nodes(tree, table)}
+
+
+def _used_names(node: ast.AST, kinds=(ast.Name, ast.Attribute),
+                local: set = frozenset()) -> Counter:
+    """Uses of each name under `node`: an Attribute by its attribute name,
+    and a Name only where it resolves to a module global."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr
-                   for n in ast.walk(node) if isinstance(n, kinds))
+                   for n in ast.walk(node)
+                   if isinstance(n, kinds) and id(n) not in local)
 
 
 def _module_definitions(tree: ast.Module):
@@ -68,19 +140,35 @@ def _public_members(tree: ast.Module):
 
 
 def _unreached(definitions, exempt=("tests/test_acceptance.py",),
-               kinds=(ast.Name, ast.Attribute)) -> set:
-    """Labels of the definitions whose name is used in `src/` only inside the
-    definition itself, and not at all in the `exempt` files. A use is a node
-    of one of `kinds` that carries the name."""
-    trees = [_parse(path) for path in sorted(PACKAGE.glob("*.py"))]
-    used = sum((_used_names(tree, kinds) for tree in trees), Counter())
-    outside = sum((_used_names(_parse(ROOT / f), kinds) for f in exempt), Counter())
-    return {label for tree in trees for label, name, node in definitions(tree)
-            if used[name] == _used_names(node, kinds)[name] and name not in outside}
+               kinds=(ast.Name, ast.Attribute), package=PACKAGE) -> set:
+    """Labels of the definitions whose name is used in the `package` only
+    inside the definition itself, and not at all in the `exempt` files. A use
+    is a node of one of `kinds` that carries the name; a Name counts only
+    where it resolves to the module global, not to a local that shares it."""
+    modules = [_resolved(path) for path in sorted(package.glob("*.py"))]
+    used = sum((_used_names(tree, kinds, local) for tree, local in modules), Counter())
+    outside = Counter()
+    for tree, local in map(_resolved, (ROOT / f for f in exempt)):
+        outside += _used_names(tree, kinds, local)
+    return {label for tree, local in modules for label, name, node in definitions(tree)
+            if used[name] == _used_names(node, kinds, local)[name]
+            and name not in outside}
 
 
 def test_public_names_are_reached_outside_the_unit_tests():
     assert _unreached(_public_definitions) == set()
+
+
+def test_a_public_name_shadowed_by_a_local_is_not_reached(tmp_path):
+    # `_singlet_product_sum` binds a local `shape`; its uses are not uses of
+    # a module-level `shape`, so a public one that nothing calls fails.
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"),
+                                          encoding="utf-8")
+    planted = tmp_path / "experiments.py"
+    with open(planted, "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef shape():\n    return None\n")
+    assert _unreached(_public_definitions, package=tmp_path) == {"shape"}
 
 
 def test_public_members_are_reached_outside_the_unit_tests():
