@@ -88,6 +88,12 @@ CASES = {
                   "--json", "-"],
     "itc-surd": ["itc", "--cos-ab", "-1/3", "--cos-bc", "1/3", "--turns", "1/8",
                  "--json", "-"],
+    "itc-rational-angle": ["itc", "--cos-ab", "1/3", "--cos-bc", "1/2", "--turns", "1/6",
+                           "--json", "-"],
+    "itc-possible": ["itc", "--cos-ab", "0", "--cos-bc", "1/3", "--turns", "1/8",
+                     "--json", "-"],
+    "itc-surd-large-primes": ["itc", "--cos-ab", "1/101", "--cos-bc", "2/103",
+                              "--turns", "1/8", "--json", "-"],
     "niven-rational": ["niven", "--turns", "1/6", "--json", "-"],
     "niven-surd": ["niven", "--turns", "3/8"],
     "niven-irrational": ["niven", "--turns", "-7/3", "--json", "-"],
@@ -113,7 +119,10 @@ GOLDEN = {
     'delayed-choice-in': (0, '260efacb8e4bb804', '', {}),
     'delayed-choice-out': (0, 'c2c3e32b239a69d6', '', {}),
     'itc-niven': (0, 'beb4f6b827a16f4a', '', {}),
+    'itc-possible': (0, 'fd551d397b0dba5c', '', {}),
+    'itc-rational-angle': (0, 'c9d624d195f12d96', '', {}),
     'itc-surd': (0, '3141728e1b7b1ac2', '', {}),
+    'itc-surd-large-primes': (0, '46b4015802b267db', '', {}),
     'measure-L1024': (0, 'ba587d65d3ef7be1', '', {'measure.json': '77fed3252b690bc1'}),
     'measure-L4': (0, 'f64eb1cc8d326e14', '', {}),
     'measure-pole-m0': (0, '7712f5ebf42a846f', '', {}),
