@@ -73,10 +73,11 @@ def parse_integer(text: str) -> int:
 
 
 # The frozen records of this module write their own __init__: it checks its
-# arguments and stores every field with one __dict__ write, where the
-# generated one makes a separate call per field to get past the frozen
-# __setattr__. dataclass still generates eq, hash, repr and the field list
-# that replace and fields read.
+# arguments and stores each field, in field order, by item assignment into
+# the instance __dict__, where the generated one makes a separate
+# object.__setattr__ call per field to get past the frozen __setattr__.
+# dataclass still generates eq, hash, repr and the field list that replace
+# and fields read.
 @dataclass(frozen=True, init=False)
 class RationalAngle:
     """An angle stored as a reduced fraction of a full turn, in [0, 1).
@@ -157,7 +158,10 @@ class Surd:
                 raise ValueError(f"surd radicand must be a positive integer, got {d}")
             if math.isqrt(n) ** 2 == n:
                 raise ValueError(f"surd radicand {d} is a perfect square")
-        self.__dict__.update(a=a, b=b, d=d)
+        state = self.__dict__
+        state["a"] = a
+        state["b"] = b
+        state["d"] = d
 
 
 class CosineKind(Enum):
@@ -186,24 +190,28 @@ class ExactCosine:
                  witness: Optional[RationalAngle] = None,
                  cross_base: Optional[Fraction] = None,
                  cross_radicand: Optional[Fraction] = None):
-        self.__dict__.update(kind=kind, rational=rational, surd=surd,
-                             witness=witness, cross_base=cross_base,
-                             cross_radicand=cross_radicand)
+        state = self.__dict__
+        state["kind"] = kind
+        state["rational"] = rational
+        state["surd"] = surd
+        state["witness"] = witness
+        state["cross_base"] = cross_base
+        state["cross_radicand"] = cross_radicand
 
     @classmethod
     def from_rational(cls, value: Fraction) -> "ExactCosine":
-        return cls(CosineKind.RATIONAL, rational=value)
+        return cls(CosineKind.RATIONAL, value)
 
     @classmethod
     def by_niven(cls, witness: RationalAngle,
                  cross_base: Optional[Fraction] = None,
                  cross_radicand: Optional[Fraction] = None) -> "ExactCosine":
-        if witness.denominator in _COS_SQ_BY_DENOMINATOR:
+        if witness.turns.denominator in _COS_SQ_BY_DENOMINATOR:
             raise ValueError(
                 f"witness {witness.turns} has rational cosine-squared; "
                 "not a valid irrationality certificate")
-        return cls(CosineKind.IRRATIONAL_BY_NIVEN, witness=witness,
-                   cross_base=cross_base, cross_radicand=cross_radicand)
+        return cls(CosineKind.IRRATIONAL_BY_NIVEN, None, None, witness,
+                   cross_base, cross_radicand)
 
     @property
     def is_rational(self) -> bool:
@@ -229,9 +237,9 @@ def _surd(a_num: int, a_den: int, sign: int, p: int, q: int) -> ExactCosine:
     if n0 == 1:
         return ExactCosine.from_rational(
             Fraction(a_num * q + sign * s * a_den, a_den * q))
-    return ExactCosine(CosineKind.IRRATIONAL_SURD,
-                       surd=Surd(Fraction(a_num, a_den), Fraction(sign * s, q),
-                                 Fraction(n0)))
+    return ExactCosine(CosineKind.IRRATIONAL_SURD, None,
+                       Surd(Fraction(a_num, a_den), Fraction(sign * s, q),
+                            Fraction(n0)))
 
 
 # Every certificate niven_cosine gives outside the Niven case, built once:
@@ -252,7 +260,7 @@ def niven_cosine(angle: RationalAngle) -> ExactCosine:
     a quadratic surd when only cos^2 is rational (denominators 8, 12);
     otherwise certified irrational with the angle itself as witness.
     """
-    d = angle.denominator
+    d = angle.turns.denominator
     if d in _COS_BY_DENOMINATOR:
         return _NIVEN_TABLE[d]
     if d in _COS_SQ_BY_DENOMINATOR:
@@ -290,7 +298,7 @@ def spherical_third_side(cos_ab: Fraction, cos_bc: Fraction,
         return ExactCosine.from_rational(Fraction(p * u, q * v))
     r_den = (q * v) ** 2
 
-    c2 = _COS_SQ_BY_DENOMINATOR.get(phi_c.denominator)
+    c2 = _COS_SQ_BY_DENOMINATOR.get(phi_c.turns.denominator)
     if c2 is None:
         # Generic case: cos^2 phi_C irrational, so sqrt(r) * cos phi_C cannot
         # be rational (its square r * cos^2 phi_C would force cos^2 phi_C
@@ -317,8 +325,10 @@ class TriangleVerdict:
     reason: str
 
     def __init__(self, possible: bool, third_side: ExactCosine, reason: str):
-        self.__dict__.update(possible=possible, third_side=third_side,
-                             reason=reason)
+        state = self.__dict__
+        state["possible"] = possible
+        state["third_side"] = third_side
+        state["reason"] = reason
 
 
 def itc_verdict(cos_ab: Fraction, cos_bc: Fraction,
@@ -337,7 +347,7 @@ def itc_verdict(cos_ab: Fraction, cos_bc: Fraction,
     else:
         reason = ("cos^2 of the interior angle is irrational, so the cross term "
                   "cannot be rational")
-    return TriangleVerdict(possible=possible, third_side=third, reason=reason)
+    return TriangleVerdict(possible, third, reason)
 
 
 def _product_kernel(x: int, y: int) -> int:
