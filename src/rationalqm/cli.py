@@ -83,6 +83,8 @@ def _write_json(o: Any, newline: str, append: Callable[[str], None],
         append(quote(o))
     elif type(o) is int:
         append(int.__repr__(o))
+    elif type(o) is Fraction:
+        append('"' + to_jsonable(o) + '"')
     elif o is None or isinstance(o, (int, float)):
         append(scalar(o))
     elif isinstance(o, (list, tuple, _HalvingTrace)):
