@@ -14,8 +14,8 @@ import enum
 import os
 import re
 import sys
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
 from .exact import (RationalAngle, exceptional_triangles, itc_verdict,
@@ -24,7 +24,7 @@ from .exact import (RationalAngle, exceptional_triangles, itc_verdict,
 SCHEMA_VERSION = 1
 
 
-def to_jsonable(obj: Any) -> Any:
+def to_jsonable(obj: object) -> object:
     """The kinds of report value that JSON has no form for: a Fraction
     becomes its 'p/q' string, so exactness survives the round trip; an Enum
     its value; a dataclass instance the dict of its fields; a `measure` trace
@@ -49,18 +49,18 @@ class _HalvingTrace:
     strings are held, and a slice builds its own steps; being only '0',
     '1', '.' and '-', each step is its own JSON encoding between quotes."""
 
-    def __init__(self, pair: Any) -> None:
+    def __init__(self, pair: object) -> None:
         self.plus, self.minus = pair.bit_strings()
 
     def __len__(self) -> int:
         return len(self.plus)
 
-    def __getitem__(self, k: slice) -> List[str]:
+    def __getitem__(self, k: slice) -> list[str]:
         p, m = self.plus, self.minus
         return [f"{p[:w]}.-{m[:w]}." for w in range(len(p), 0, -1)[k]]
 
 
-def json_chunks(obj: Any) -> List[str]:
+def json_chunks(obj: object) -> list[str]:
     """Pieces whose concatenation is `json.dumps(obj, indent=2, sort_keys=True,
     default=to_jsonable)`, byte for byte, except that a dict key that is not
     a string raises TypeError. A list of ints, or a `measure` trace, is
@@ -68,13 +68,13 @@ def json_chunks(obj: Any) -> List[str]:
     with the report."""
     from json import dumps
     from json.encoder import encode_basestring_ascii
-    chunks: List[str] = []
+    chunks: list[str] = []
     _write_json(obj, "\n", chunks.append, encode_basestring_ascii, dumps)
     return chunks
 
 
-def _write_json(o: Any, newline: str, append: Callable[[str], None],
-                quote: Callable[[str], str], scalar: Callable[[Any], str]) -> None:
+def _write_json(o: object, newline: str, append: Callable[[str], None],
+                quote: Callable[[str], str], scalar: Callable[[object], str]) -> None:
     # `newline` is a line break and the indent of the current level. A
     # module-level function, not a closure over `chunks`: a closure that
     # calls itself is a reference cycle, and would keep every report's
@@ -130,21 +130,29 @@ def _write_json(o: Any, newline: str, append: Callable[[str], None],
         _write_json(to_jsonable(o), newline, append, quote, scalar)
 
 
-def build_manifest(args: argparse.Namespace, outputs: List[str]) -> Dict[str, Any]:
+def _utf8_name(path: str) -> str:
+    """A file name as its UTF-8 bytes spell it, whatever the locale decoded
+    argv to: the C locale makes each non-ASCII byte a lone surrogate."""
+    return os.fsencode(path).decode("utf-8", "surrogateescape")
+
+
+def build_manifest(args: argparse.Namespace, outputs: list[str]) -> dict[str, object]:
     import datetime
     config = {k: v for k, v in vars(args).items()
               if k not in ("func", "json", "csv") and v is not None}
+    if "config" in config:
+        config["config"] = _utf8_name(config["config"])
     return {
         "command": args.command,
         "config": config,
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "outputs": outputs,
+        "outputs": [_utf8_name(path) for path in outputs],
     }
 
 
-def emit(args: argparse.Namespace, report: Any, summary_lines: List[str]) -> None:
+def emit(args: argparse.Namespace, report: object, summary_lines: list[str]) -> None:
     outputs = [str(args.csv)] if getattr(args, "csv", None) else []
     if getattr(args, "json", None) is not None:
         chunks = json_chunks({
@@ -162,8 +170,8 @@ def emit(args: argparse.Namespace, report: Any, summary_lines: List[str]) -> Non
         print(line)
 
 
-def _argument_type(parse: Callable[[str], Any]) -> Callable[[str], Any]:
-    def convert(text: str) -> Any:
+def _argument_type(parse: Callable[[str], object]) -> Callable[[str], object]:
+    def convert(text: str) -> object:
         try:
             return parse(text)
         except ValueError as exc:
@@ -178,8 +186,8 @@ def _angle(text: str) -> RationalAngle:
     return RationalAngle(_frac(text))
 
 
-def _angles(text: str) -> List[RationalAngle]:
-    angles: List[RationalAngle] = []
+def _angles(text: str) -> list[RationalAngle]:
+    angles: list[RationalAngle] = []
     for part in text.split(","):
         angle = _angle(part)
         if angle in angles:  # turns are reduced mod 1
@@ -225,7 +233,7 @@ def _signs(bits) -> str:
 # emits them.
 # ---------------------------------------------------------------------------
 
-def cmd_sphere(args) -> Tuple[Any, List[str]]:
+def cmd_sphere(args) -> tuple[object, list[str]]:
     from .lattice import (canonical_bitstring, iter_lattice, lattice_size,
                           lattice_to_csv)
     count = lattice_size(args.L)
@@ -243,19 +251,19 @@ def cmd_sphere(args) -> Tuple[Any, List[str]]:
     return report, lines
 
 
-def cmd_niven(args) -> Tuple[Any, List[str]]:
+def cmd_niven(args) -> tuple[object, list[str]]:
     cert = niven_cosine(args.turns)
     return {"turns": args.turns.turns, "cosine": cert}, [f"cos phi = {cert.describe()}"]
 
 
-def cmd_itc(args) -> Tuple[Any, List[str]]:
+def cmd_itc(args) -> tuple[object, list[str]]:
     verdict = itc_verdict(args.cos_ab, args.cos_bc, args.turns)
     return verdict, [f"possible = {verdict.possible}",
                      f"third side: {verdict.third_side.describe()}",
                      f"reason: {verdict.reason}"]
 
 
-def cmd_scan_exceptions(args) -> Tuple[Any, List[str]]:
+def cmd_scan_exceptions(args) -> tuple[object, list[str]]:
     """The triangles of `exact.exceptional_triangles`, listed one a line."""
     if args.max_den < 2:
         raise ValueError(f"--max-den must be >= 2, got {args.max_den}")
@@ -267,7 +275,7 @@ def cmd_scan_exceptions(args) -> Tuple[Any, List[str]]:
     return {"max_den": args.max_den, "triangles": found}, lines
 
 
-def cmd_state(args) -> Tuple[Any, List[str]]:
+def cmd_state(args) -> tuple[object, list[str]]:
     from .lattice import PNO, LatticePoint
     from .states import make_qubit, make_singlet
     xi = PNO.from_seed(args.seed, args.L)
@@ -287,7 +295,7 @@ def cmd_state(args) -> Tuple[Any, List[str]]:
                     f"seed={args.seed}", "string: " + _signs(state.string)]
 
 
-def cmd_measure(args) -> Tuple[Any, List[str]]:
+def cmd_measure(args) -> tuple[object, list[str]]:
     from .lattice import PNO, LatticePoint
     from .reduction import measure
     from .states import make_qubit
@@ -309,7 +317,7 @@ def cmd_measure(args) -> Tuple[Any, List[str]]:
                     f"after {trace.step_count} halving steps"]
 
 
-def cmd_mz(args) -> Tuple[Any, List[str]]:
+def cmd_mz(args) -> tuple[object, list[str]]:
     from .experiments import mz_simulate
     report = mz_simulate(args.turns)
     p_sin, p_cos = report.output_probabilities
@@ -320,7 +328,7 @@ def cmd_mz(args) -> Tuple[Any, List[str]]:
                     f"output probabilities (sin^2, cos^2 of phi/2): ({p_sin}, {p_cos})"]
 
 
-def cmd_delayed_choice(args) -> Tuple[Any, List[str]]:
+def cmd_delayed_choice(args) -> tuple[object, list[str]]:
     from .experiments import mz_simulate
     mz = mz_simulate(args.turns)
     mirror_in = args.mirror == "in"
@@ -333,7 +341,7 @@ def cmd_delayed_choice(args) -> Tuple[Any, List[str]]:
                     f"({mz.output_certificate.describe()})"]
 
 
-def cmd_uncertainty(args) -> Tuple[Any, List[str]]:
+def cmd_uncertainty(args) -> tuple[object, list[str]]:
     from .experiments import position_momentum_aggregate, uncertainty_check
     if args.cosines is not None:
         report = uncertainty_check([parse_fraction(part)
@@ -347,7 +355,7 @@ def cmd_uncertainty(args) -> Tuple[Any, List[str]]:
                     f"{report.samples} samples (seed {report.seed})"]
 
 
-def cmd_sg(args) -> Tuple[Any, List[str]]:
+def cmd_sg(args) -> tuple[object, list[str]]:
     verdict = itc_verdict(args.cos_ab, args.cos_bc, args.phi_b)
     report = {"cos_ab": args.cos_ab, "cos_bc": args.cos_bc, "phi_b": args.phi_b,
               "verdict": verdict}
@@ -357,7 +365,7 @@ def cmd_sg(args) -> Tuple[Any, List[str]]:
                     f"reason: {verdict.reason}"]
 
 
-def cmd_bell(args) -> Tuple[Any, List[str]]:
+def cmd_bell(args) -> tuple[object, list[str]]:
     from .experiments import bell_run
     overrides = parse_config_file(args.config) if args.config else {}
     for key, value in overrides.items():  # a flag given on the command line wins
@@ -392,11 +400,11 @@ def cmd_bell(args) -> Tuple[Any, List[str]]:
     return report, lines
 
 
-def parse_config_file(path: str) -> Dict[str, Any]:
+def parse_config_file(path: str) -> dict[str, object]:
     """Plain-text key=value config: angles (comma-separated turn fractions),
     L, trials, seed. Blank lines and '#' comments ignored; a key may appear
     only once. The file is read as UTF-8 whatever the locale."""
-    out: Dict[str, Any] = {}
+    out: dict[str, object] = {}
     with open(path, encoding="utf-8") as f:
         text = f.read()
     for raw in text.splitlines():
@@ -511,10 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Built on the first call to main and reused: parse_args keeps no state
 # between calls, since each call returns a fresh Namespace.
-_parser: Optional[argparse.ArgumentParser] = None
+_parser: argparse.ArgumentParser | None = None
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()

@@ -10,10 +10,10 @@ fraction, and floats would destroy it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
 
 # cos(2pi * n/d) for reduced n/d is rational exactly at these d (phi an
 # exact multiple of 60 or 90 degrees), and there it is independent of n, so
@@ -99,10 +99,6 @@ class RationalAngle:
                 f"angle turns must be an int or a Fraction, got {type(turns).__name__}")
         self.__dict__["turns"] = turns
 
-    @property
-    def denominator(self) -> int:
-        return self.turns.denominator
-
     def cosine_sign(self) -> int:
         """Sign of cos(2pi * turns): +1, -1, or 0 on the quarter turns.
 
@@ -176,20 +172,20 @@ class ExactCosine:
     certified irrational whose witness angle has irrational cosine-squared."""
 
     kind: CosineKind
-    rational: Optional[Fraction] = None
-    surd: Optional[Surd] = None
-    witness: Optional[RationalAngle] = None
+    rational: Fraction | None = None
+    surd: Surd | None = None
+    witness: RationalAngle | None = None
     # For a certified-irrational value of the form a + sqrt(r) * cos(witness)
     # (a spherical third side), the rational pieces a and r; left as None when
     # the value is cos(witness) itself.
-    cross_base: Optional[Fraction] = None
-    cross_radicand: Optional[Fraction] = None
+    cross_base: Fraction | None = None
+    cross_radicand: Fraction | None = None
 
-    def __init__(self, kind: CosineKind, rational: Optional[Fraction] = None,
-                 surd: Optional[Surd] = None,
-                 witness: Optional[RationalAngle] = None,
-                 cross_base: Optional[Fraction] = None,
-                 cross_radicand: Optional[Fraction] = None):
+    def __init__(self, kind: CosineKind, rational: Fraction | None = None,
+                 surd: Surd | None = None,
+                 witness: RationalAngle | None = None,
+                 cross_base: Fraction | None = None,
+                 cross_radicand: Fraction | None = None):
         state = self.__dict__
         state["kind"] = kind
         state["rational"] = rational
@@ -204,8 +200,8 @@ class ExactCosine:
 
     @classmethod
     def by_niven(cls, witness: RationalAngle,
-                 cross_base: Optional[Fraction] = None,
-                 cross_radicand: Optional[Fraction] = None) -> "ExactCosine":
+                 cross_base: Fraction | None = None,
+                 cross_radicand: Fraction | None = None) -> "ExactCosine":
         if witness.turns.denominator in _COS_SQ_BY_DENOMINATOR:
             raise ValueError(
                 f"witness {witness.turns} has rational cosine-squared; "
@@ -224,7 +220,7 @@ class ExactCosine:
             s = self.surd
             return f"{s.a} + {s.b}*sqrt({s.d}) (irrational surd)"
         return (f"irrational: cos^2 of {self.witness.turns} turn is irrational "
-                f"(reduced denominator {self.witness.denominator} not in "
+                f"(reduced denominator {self.witness.turns.denominator} not in "
                 f"{sorted(_COS_SQ_BY_DENOMINATOR)})")
 
 
@@ -392,7 +388,7 @@ def exceptional_triangles(max_den: int, turns: Sequence[RationalAngle]
                     c2.numerator * c2.denominator, c2.denominator,
                     phi.cosine_sign())
                    for t, phi in enumerate(turns)
-                   if (c2 := _COS_SQ_BY_DENOMINATOR.get(phi.denominator))]
+                   if (c2 := _COS_SQ_BY_DENOMINATOR.get(phi.turns.denominator))]
     for a, x in zip(sides, side_kernels):
         p, q = a.numerator, a.denominator
         # A bucket side of smaller denominator is the mirror of a listed

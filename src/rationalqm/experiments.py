@@ -6,14 +6,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .exact import ExactCosine, RationalAngle, niven_cosine
 from .lattice import LatticePoint
 
-CosineValue = Union[Fraction, float]
+CosineValue = Fraction | float
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +27,7 @@ class MZReport:
     inside_certificate: str
     output_definable: bool
     output_certificate: ExactCosine
-    output_probabilities: Tuple[CosineValue, CosineValue]  # (sin^2, cos^2) of phi/2
+    output_probabilities: tuple[CosineValue, CosineValue]  # (sin^2, cos^2) of phi/2
 
 
 def mz_simulate(phi: RationalAngle) -> MZReport:
@@ -43,7 +43,7 @@ def mz_simulate(phi: RationalAngle) -> MZReport:
     cert = niven_cosine(phi)
     if cert.is_rational:
         c = cert.rational
-        probs: Tuple[CosineValue, CosineValue] = ((1 - c) / 2, (1 + c) / 2)
+        probs: tuple[CosineValue, CosineValue] = ((1 - c) / 2, (1 + c) / 2)
     else:
         # From the turn folded into [0, 1/2]: within 5 ulp for denominators
         # <= 400, where math.sin(math.pi * t) ** 2 is up to 667 ulp off.
@@ -67,11 +67,11 @@ def mz_simulate(phi: RationalAngle) -> MZReport:
 
 @dataclass(frozen=True)
 class UncertaintyReport:
-    cosines: Tuple[CosineValue, CosineValue, CosineValue]
+    cosines: tuple[CosineValue, CosineValue, CosineValue]
     sigma_product: float             # sin(theta') * sin(theta''), correctly rounded
     mu_abs: CosineValue              # |cos(theta)|
     holds: bool
-    rational_flags: Tuple[bool, bool, bool]
+    rational_flags: tuple[bool, bool, bool]
     niven_note: str
 
 
@@ -87,7 +87,7 @@ def _sqrt_float(x: Fraction) -> float:
 
 
 def uncertainty_check(cosines: Sequence[CosineValue],
-                      tol: Optional[CosineValue] = None) -> UncertaintyReport:
+                      tol: CosineValue | None = None) -> UncertaintyReport:
     """Check sin(theta')*sin(theta'') >= |cos(theta)| for a direction given
     by its three direction cosines (squares summing to one).
 
@@ -123,15 +123,15 @@ def uncertainty_check(cosines: Sequence[CosineValue],
 @dataclass(frozen=True)
 class AggregateReport:
     samples: int
-    seed: Optional[int]
+    seed: int | None
     bound: float                 # sqrt(mean sigma'^2) * sqrt(mean sigma''^2)
     mean_abs_cos: float
     holds: bool                  # bound >= 1/2
     degenerate: bool             # every sample sits on the equality case
 
 
-def aggregate_directions(directions: Iterable[Tuple[float, float]],
-                         seed: Optional[int] = None) -> AggregateReport:
+def aggregate_directions(directions: Iterable[tuple[float, float]],
+                         seed: int | None = None) -> AggregateReport:
     """Aggregate the squared-deviation bound over (cos_theta, phi_radians)
     direction samples, read once from any iterable."""
     n = 0
@@ -174,7 +174,7 @@ def position_momentum_aggregate(M: int, seed: int) -> AggregateReport:
 # Lattice snapping of nominal settings
 # ---------------------------------------------------------------------------
 
-def snap_to_lattice(target_cos: Union[Fraction, float], L: int) -> LatticePoint:
+def snap_to_lattice(target_cos: Fraction | float, L: int) -> LatticePoint:
     """The phi = 0 lattice point with even m whose cos(theta) = 2m/L - 1 is
     nearest the target (ties to the m/2 that is even).
 
@@ -213,7 +213,7 @@ class BellReport:
     L: int
     trials_per_pair: int
     seed: int
-    pairs: List[PairStats]
+    pairs: list[PairStats]
     bell_quantity: float
     bell_quantity_nominal: float
 
@@ -340,7 +340,7 @@ def bell_run(nominal_a: Fraction, nominal_b: Fraction, nominal_c: Fraction,
 
 
 def single_trial_outcomes(cos_theta_ab: Fraction, L: int,
-                          xi_seed: int) -> Tuple[int, int]:
+                          xi_seed: int) -> tuple[int, int]:
     """Full-machinery reference path for one Bell trial: build the singlet,
     permute both strings with the same hidden permutation, and run the
     halving measurement on each."""

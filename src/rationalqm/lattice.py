@@ -5,13 +5,14 @@ the lattice its complex and quaternionic structure.
 
 from __future__ import annotations
 
+import io
 import random
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 
-Bits = Tuple[int, ...]
+Bits = tuple[int, ...]
 
 
 def validate_bits(s: Sequence[int]) -> Bits:
@@ -35,8 +36,8 @@ class PNO:
     perm is its own Fisher-Yates shuffle of 0..size-1, skips the check.
     """
 
-    perm: Tuple[int, ...]
-    signs: Optional[Tuple[int, ...]] = None
+    perm: tuple[int, ...]
+    signs: tuple[int, ...] | None = None
 
     def __post_init__(self):
         n = len(self.perm)
@@ -147,7 +148,7 @@ def canonical_bitstring(p: LatticePoint) -> Bits:
     return zeta(block_string(p.m, p.L), p.n)
 
 
-def build_spinorial_circle(L: int) -> List[Bits]:
+def build_spinorial_circle(L: int) -> list[Bits]:
     """The 2L strings on the phi in {0, pi} great circle for L a power of two.
 
     Built inductively from the two half-length circles: starting from the
@@ -181,7 +182,7 @@ def build_spinorial_circle(L: int) -> List[Bits]:
     return out[:-1]
 
 
-def interpolated_circle(L: int) -> List[Bits]:
+def interpolated_circle(L: int) -> list[Bits]:
     """Monotone block strings for m = L down to 0, the phi = 0 meridian at a
     general L; latitudes are cos(theta) = 2m/L - 1."""
     if L < 2:
@@ -207,7 +208,7 @@ def iter_lattice(L: int) -> Iterable[LatticePoint]:
                 yield LatticePoint(m, n, L)
 
 
-def lattice_to_csv(L: int, out: TextIO) -> int:
+def lattice_to_csv(L: int, out: io.TextIOBase) -> int:
     """Dump the full lattice as CSV; returns the number of rows written.
 
     The rows are those of `csv.writer` (excel dialect: no field needs

@@ -10,8 +10,8 @@ least significant digit, so after L-1 steps the surviving digit is the first bit
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Sequence
 
 from .lattice import validate_bits
 
@@ -45,7 +45,7 @@ class IntegerPair:
         return self.width - 1
 
     @property
-    def steps(self) -> List[IntegerPair]:
+    def steps(self) -> list[IntegerPair]:
         # Built on each read, so reading only the outcome costs O(L). Step k
         # halves both integers k times: the first width - k digits.
         return [IntegerPair(plus=self.plus >> k, width=self.width - k)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Tuple
 
 from .lattice import (PNO, Bits, LatticePoint, block_string, canonical_bitstring,
                       zeta)
@@ -81,7 +80,7 @@ class TwoQubitState:
     def L(self) -> int:
         return len(self.top)
 
-    def outcome_pair(self) -> Tuple[int, int]:
+    def outcome_pair(self) -> tuple[int, int]:
         """The joint measurement outcome: both strings read at the position
         the common xi maps to the front."""
         return self.top[0], self.bottom[0]
@@ -100,7 +99,7 @@ def _sub_block(length: int, ones: Fraction, shift: Fraction, what: str) -> Bits:
     return zeta(block_string(k, length), s)
 
 
-def canonical_two_qubit_strings(params: TwoQubitParams, L: int) -> Tuple[Bits, Bits]:
+def canonical_two_qubit_strings(params: TwoQubitParams, L: int) -> tuple[Bits, Bits]:
     """The unpermuted (top, bottom) layout for the given lattice fractions:
     the bottom(+) sub-block fills the top's +1 positions in order, and the
     bottom(-) sub-block its -1 positions."""

@@ -18,7 +18,11 @@ the default on every CI interpreter), the entry pins the file written. Where
 it cannot (ASCII, in the C locale with UTF-8 mode off: `LC_ALL=C LANG=C
 PYTHONUTF8=0 PYTHONCOERCECLOCALE=0`), `open()` raises `UnicodeEncodeError`, a
 `ValueError`, so `main` exits 2 before writing anything, and the entry pins
-that exit and its error message.
+that exit and its error message. A name typed in the shell reaches `main`
+through `surrogateescape` and opens under either encoding, and
+`test_manifest_names_files_the_same_under_every_locale` in test_cli.py
+checks that such a run writes the same bytes, its manifest included, under
+the C locale and under UTF-8.
 """
 
 import contextlib

@@ -1,3 +1,4 @@
+import ast
 import enum
 import json
 import os
@@ -693,6 +694,38 @@ class TestConfigFile:
         assert report["manifest"]["config"]["seed"] == 4
         assert (tmp_path / "c.csv").read_text(encoding="utf-8").count("\n") == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["sphere", "--L", "4", "--csv", 'd\u00e9"j.csv', "--json", "-"],
+        ["bell", "--config", "\u03b8.cfg", "--csv", 'd\u00e9"j.csv', "--json", "-"],
+    ], ids=["sphere", "bell"])
+    def test_manifest_names_files_the_same_under_every_locale(self, tmp_path, argv):
+        # The C locale decodes argv's non-ASCII bytes to lone surrogates, and
+        # UTF-8 mode decodes them to the name; the manifest records both as
+        # the name. argv and file names go to the child as UTF-8 bytes, so
+        # the verdict is the same whatever the locale of this process.
+        c_locale = {"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0",
+                    "PYTHONCOERCECLOCALE": "0"}
+        runs = []
+        for name, env in (("c", c_locale), ("utf8", {"PYTHONUTF8": "1"})):
+            cwd = os.path.join(os.fsencode(tmp_path), name.encode())
+            os.mkdir(cwd)
+            with open(os.path.join(cwd, "\u03b8.cfg".encode()), "wb") as fh:
+                fh.write(b"angles = 0,1/6,1/3\nL = 8\ntrials = 100\nseed = 1\n")
+            proc = subprocess.run(
+                [sys.executable, "-m", "rationalqm", *(a.encode() for a in argv)],
+                capture_output=True, cwd=cwd, env=dict(src_env(), **env), timeout=60)
+            with open(os.path.join(cwd, 'd\u00e9"j.csv'.encode()), "rb") as fh:
+                csv = fh.read()
+            out = re.sub(rb'"timestamp": "[^"]*"', b'"timestamp": ""', proc.stdout)
+            runs.append((proc.returncode, proc.stderr, out, csv))
+        assert runs[0] == runs[1]
+        code, err, out, _ = runs[0]
+        assert (code, err) == (0, b"")
+        report, _ = json.JSONDecoder().raw_decode(out.decode("utf-8"))
+        assert report["manifest"]["outputs"] == ['d\u00e9"j.csv']
+        if argv[0] == "bell":
+            assert report["manifest"]["config"]["config"] == "\u03b8.cfg"
+
 
 def encode(obj):
     """A value as `emit` encodes it, decoded back."""
@@ -926,19 +959,64 @@ print(sorted(parsing), "json" in sys.modules, "datetime" in sys.modules)
     assert proc.stdout.splitlines()[-1] == "[] True True"
 
 
-def test_niven_does_not_load_pathlib():
-    """No command imports `pathlib`. Run without `site` (-S), since `site`
-    may load it through a `.pth` file before any user code runs."""
-    script = """
+def _stdlib_imports():
+    """Every module but `typing` that src/ imports by absolute name, at module
+    level or inside a function: the standard library modules the package
+    uses."""
+    names = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module)
+    return sorted(names - {"typing"})
+
+
+LOAD_SCRIPT = """
 import contextlib, io, sys
+for name in sys.argv[1:]:
+    __import__(name)
+baseline = "typing" in sys.modules
 import rationalqm.cli as cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["niven", "--turns", "1/5"])
-print(code, "pathlib" in sys.modules)
+    codes = [cli.main(argv) for argv in ARGVS]
+print(codes, "pathlib" in sys.modules, baseline, "typing" in sys.modules)
 """
-    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
-                          encoding="utf-8", env=src_env(), timeout=60, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
+def test_no_command_loads_pathlib_or_typing(tmp_path):
+    """No command imports `pathlib` or `typing`. Run without `site` (-S),
+    since `site` may load either through a `.pth` file before any user code
+    runs. `typing` is checked against a baseline taken after importing the
+    standard library modules that src/ imports, so a Python whose standard
+    library loads `typing` itself fails nothing that src/ did."""
+    (tmp_path / "b.cfg").write_text("angles = 0,1/6,1/3\nL = 8\ntrials = 100\n"
+                                    "seed = 1\n", encoding="utf-8")
+    argvs = [
+        ["sphere", "--L", "4", "--csv", "s.csv", "--json", "-"],
+        ["niven", "--turns", "1/5"],
+        ["itc", "--cos-ab", "3/5", "--cos-bc", "4/5", "--turns", "1/8", "--json", "-"],
+        ["scan-exceptions", "--max-den", "4"],
+        ["state", "--singlet-cos", "1/2", "--L", "8", "--seed", "1", "--json", "-"],
+        ["measure", "--m", "2", "--n", "1", "--L", "4", "--seed", "0",
+         "--json", "m.json"],
+        ["mz", "--turns", "1/5"],
+        ["delayed-choice", "--turns", "1/5", "--mirror", "in"],
+        ["uncertainty", "--samples", "100", "--seed", "1"],
+        ["sg", "--cos-ab", "3/5", "--cos-bc", "3/5", "--phi-b", "1/2"],
+        ["bell", "--config", "b.cfg", "--csv", "b.csv", "--json", "-"],
+    ]
+    script = LOAD_SCRIPT.replace("ARGVS", repr(argvs))
+    proc = subprocess.run([sys.executable, "-S", "-c", script, *_stdlib_imports()],
+                          capture_output=True, encoding="utf-8", env=src_env(),
+                          cwd=tmp_path, timeout=60, check=True)
+    codes, pathlib, baseline, typing = proc.stdout.splitlines()[-1].rsplit(" ", 3)
+    assert codes == str([0] * len(argvs))
+    assert pathlib == "False"
+    assert typing == baseline
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["b.cfg", "b.csv",
+                                                          "m.json", "s.csv"]
 
 
 class TestModuleEntryPoint:

@@ -40,7 +40,7 @@ def reference_cosine_sign(t: Fraction) -> int:
 
 def reference_cos_squared(t: Fraction):
     """(1 + cos 2phi)/2 with the doubled angle reduced by RationalAngle."""
-    doubled = RationalAngle(2 * t).denominator
+    doubled = RationalAngle(2 * t).turns.denominator
     if doubled in REFERENCE_COS:
         return (1 + REFERENCE_COS[doubled]) / 2
     return None

@@ -2,13 +2,16 @@
 because `python -O` strips `assert` statements; every public name, method and
 property in `src/` is there for the program, not only for its unit tests, and
 every private module-level name is used in `src/`; no module imports
-mpmath, which only the tests use as an oracle; and `__main__.py` is the only
-module that runs as a script."""
+mpmath, which only the tests use as an oracle, or typing, since built-in
+annotations need no import at run time; and `__main__.py` is the only module
+that runs as a script."""
 
 import ast
 import symtable
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rationalqm"
@@ -186,17 +189,18 @@ def test_private_names_are_used_in_src():
     assert _unreached(_private_definitions, exempt=()) == set()
 
 
-def _imports_mpmath(node: ast.AST) -> bool:
+def _imports(node: ast.AST, module: str) -> bool:
     if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "mpmath" for alias in node.names)
+        return any(alias.name.split(".")[0] == module for alias in node.names)
     return (isinstance(node, ast.ImportFrom) and node.level == 0
-            and node.module.split(".")[0] == "mpmath")
+            and node.module.split(".")[0] == module)
 
 
-def test_no_module_imports_mpmath():
+@pytest.mark.parametrize("module", ["mpmath", "typing"])
+def test_no_module_imports(module):
     # ast.walk reaches imports inside functions and TYPE_CHECKING blocks too
     importers = {path.name for path in sorted(PACKAGE.rglob("*.py"))
-                 if any(map(_imports_mpmath, ast.walk(_parse(path))))}
+                 if any(_imports(node, module) for node in ast.walk(_parse(path)))}
     assert importers == set()
 
 
