@@ -289,26 +289,22 @@ def spherical_third_side(cos_ab: Fraction, cos_bc: Fraction,
     p, q = _cosine_terms("cos_ab", cos_ab)
     u, v = _cosine_terms("cos_bc", cos_bc)
     r_num = (q * q - p * p) * (v * v - u * u)
-    if r_num == 0:
-        # A pole: one sine factor vanishes, third side rational regardless.
-        return ExactCosine.from_rational(Fraction(p * u, q * v))
-    r_den = (q * v) ** 2
-
     c2 = _COS_SQ_BY_DENOMINATOR.get(phi_c.turns.denominator)
-    if c2 is None:
+    if r_num and c2 is None:
         # Generic case: cos^2 phi_C irrational, so sqrt(r) * cos phi_C cannot
         # be rational (its square r * cos^2 phi_C would force cos^2 phi_C
         # rational).
         return ExactCosine.by_niven(phi_c, cross_base=Fraction(p * u, q * v),
-                                    cross_radicand=Fraction(r_num, r_den))
-    sign = phi_c.cosine_sign()
-    if sign == 0:
+                                    cross_radicand=Fraction(r_num, (q * v) ** 2))
+    if r_num == 0 or c2 == 0:
+        # A pole (one sine factor vanishes) or cos phi_C = 0: the second term
+        # vanishes, so the third side is rational.
         return ExactCosine.from_rational(Fraction(p * u, q * v))
     # cos phi_C = sign * sqrt(c2); the second term is sign * sqrt(r * c2),
     # rational iff r * c2 is a perfect square.
-    n, d = r_num * c2.numerator, r_den * c2.denominator
+    n, d = r_num * c2.numerator, (q * v) ** 2 * c2.denominator
     g = math.gcd(n, d)
-    return _surd(p * u, q * v, sign, n // g, d // g)
+    return _surd(p * u, q * v, phi_c.cosine_sign(), n // g, d // g)
 
 
 @dataclass(frozen=True, init=False)

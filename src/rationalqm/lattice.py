@@ -201,11 +201,8 @@ def lattice_size(L: int) -> int:
 def iter_lattice(L: int) -> Iterable[LatticePoint]:
     """All distinct lattice points at granularity L (one point per pole)."""
     for m in range(L + 1):
-        if m in (0, L):
-            yield LatticePoint(m, 0, L)
-        else:
-            for n in range(L):
-                yield LatticePoint(m, n, L)
+        for n in (0,) if m in (0, L) else range(L):
+            yield LatticePoint(m, n, L)
 
 
 def lattice_to_csv(L: int, out: io.TextIOBase) -> int:

@@ -10,10 +10,8 @@ least significant digit, so after L-1 steps the surviving digit is the first bit
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
-
-from .lattice import validate_bits
 
 
 @dataclass(frozen=True)
@@ -55,17 +53,19 @@ class IntegerPair:
 _DIGIT = {1: "1", -1: "0"}
 
 
-def to_integer_pair(s: Sequence[int]) -> IntegerPair:
-    bits = validate_bits(s)
-    if not bits:
-        raise ValueError("empty bit string")
-    # One base-2 parse, linear in L; shifting in one bit at a time is O(L^2).
-    plus = int("".join(map(_DIGIT.__getitem__, bits)), 2)
-    return IntegerPair(plus=plus, width=len(bits))
-
-
-def measure(s: Sequence[int]) -> IntegerPair:
+def to_integer_pair(s: Iterable[int]) -> IntegerPair:
     """The halving dynamics of `s`: its integer pair, whose `steps` run to
     width 1 and whose `outcome` is the string's first bit (which, for a
     xi-permuted state, is the bit xi selected)."""
-    return to_integer_pair(s)
+    bits = tuple(s)
+    if not bits:
+        raise ValueError("empty bit string")
+    # One base-2 parse, linear in L; shifting in one bit at a time is O(L^2).
+    try:
+        digits = "".join(map(_DIGIT.__getitem__, bits))
+    except (KeyError, TypeError):
+        raise ValueError(f"bit string entries must be +1 or -1, got {bits}") from None
+    return IntegerPair(plus=int(digits, 2), width=len(bits))
+
+
+measure = to_integer_pair

@@ -842,67 +842,44 @@ def src_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
-def test_every_command_runs_without_mpmath():
-    script = """
-import contextlib, io, json, sys
+PROBE = """
+import ast, contextlib, io, sys
 sys.modules["mpmath"] = None  # any import of mpmath now raises ImportError
+argvs, preload = ast.literal_eval(sys.argv[1])
+for name in preload:
+    __import__(name)
+
+def step(name, code=0):
+    return (name, code,
+            sorted(m.split(".", 1)[1] for m in sys.modules if m.startswith("rationalqm.")),
+            [m for m in ("json", "datetime", "pathlib", "typing") if m in sys.modules])
+
+steps = [step("start")]
 import rationalqm.cli as cli
-argvs = [
-    ["sphere", "--L", "4", "--json", "-"],
-    ["niven", "--turns", "1/5", "--json", "-"],
-    ["itc", "--cos-ab", "3/5", "--cos-bc", "4/5", "--turns", "1/8", "--json", "-"],
-    ["scan-exceptions", "--max-den", "4", "--json", "-"],
-    ["state", "--singlet-cos", "1/2", "--L", "8", "--seed", "1", "--json", "-"],
-    ["measure", "--m", "2", "--n", "1", "--L", "4", "--seed", "0", "--json", "-"],
-    ["delayed-choice", "--turns", "1/5", "--mirror", "in", "--json", "-"],
-    ["uncertainty", "--cosines", "0,3/5,4/5", "--json", "-"],
-    ["uncertainty", "--samples", "100", "--seed", "1", "--json", "-"],
-    ["sg", "--cos-ab", "3/5", "--cos-bc", "3/5", "--phi-b", "1/2", "--json", "-"],
-    ["bell", "--angles", "0,1/6,1/3", "--L", "360", "--trials", "500",
-     "--seed", "7", "--json", "-"],
-]
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in argvs]
-buf = io.StringIO()
-with contextlib.redirect_stdout(buf):
-    mz_code = cli.main(["mz", "--turns", "1/5", "--json", "-"])
-print(json.dumps({"codes": codes, "mz_code": mz_code, "mz_out": buf.getvalue()}))
-"""
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          encoding="utf-8", env=src_env(), timeout=60, check=True)
-    result = json.loads(proc.stdout)
-    assert result["codes"] == [0] * 11
-    assert result["mz_code"] == 0
-    payload, _ = json.JSONDecoder().raw_decode(result["mz_out"])
-    assert payload["report"] == {
-        "inside_certificate": "squared amplitudes 1/2 rational; phase 1/5 of a "
-                              "turn rational",
-        "inside_definable": True,
-        "output_certificate": {"cross_base": None, "cross_radicand": None,
-                               "kind": "irrational-by-niven", "rational": None,
-                               "surd": None, "witness": {"turns": "1/5"}},
-        "output_definable": False,
-        "output_probabilities": [0.3454915028125263, 0.6545084971874737],
-        "phi": {"turns": "1/5"},
-    }
-
-
-LOADING_SCRIPT = """
-import contextlib, io, json, sys
-import rationalqm.cli as cli
-
-def loaded():
-    return sorted(name.split(".", 1)[1] for name in sys.modules
-                  if name.startswith("rationalqm."))
-
 cli.build_parser()
-steps = [["build_parser", 0, loaded()]]
-for argv in json.loads(sys.argv[1]):
+steps.append(step("build_parser"))
+for argv in argvs:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    steps.append([argv[0], code, loaded()])
-print(json.dumps(steps))
+        steps.append(step(argv[0], cli.main(argv)))
+print(repr(steps))
 """
+
+
+def probe(argvs, cwd, preload=()):
+    """Run `argvs` through `main` in one fresh `python -S` interpreter that
+    cannot import mpmath, after importing `preload`. Returns one step for the
+    start, one for building the parser and one per argv: (name, exit code,
+    the loaded rationalqm modules, which of json, datetime, pathlib and
+    typing are loaded). Without `site` no `.pth` file loads a module first,
+    and the script imports no json, so the first report shows loading it."""
+    proc = subprocess.run([sys.executable, "-S", "-c", PROBE, repr((argvs, list(preload)))],
+                          capture_output=True, encoding="utf-8", env=src_env(),
+                          cwd=cwd, timeout=60, check=True)
+    steps = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert [name for name, _, _, _ in steps] == ["start", "build_parser"] + [a[0] for a in argvs]
+    assert [code for _, code, _, _ in steps] == [0] * len(steps)
+    return steps
+
 
 PARSING = ["cli", "exact"]
 EXPERIMENTS = ["cli", "exact", "experiments", "lattice"]
@@ -927,36 +904,17 @@ EXPERIMENTS = ["cli", "exact", "experiments", "lattice"]
     ([["delayed-choice", "--turns", "1/5", "--mirror", "in"]], [PARSING, EXPERIMENTS]),
 ], ids=["exact-lattice-states-reduction", "bell", "mz", "uncertainty",
         "delayed-choice"])
-def test_commands_load_only_their_modules(argvs, expected):
+def test_commands_load_only_their_modules(argvs, expected, tmp_path):
     """Parsing loads only `exact`; each command loads the package modules it
-    calls, in a fresh interpreter."""
-    proc = subprocess.run([sys.executable, "-c", LOADING_SCRIPT, json.dumps(argvs)],
-                          capture_output=True, encoding="utf-8", env=src_env(),
-                          timeout=60, check=True)
-    steps = json.loads(proc.stdout)
-    assert [name for name, _, _ in steps] == ["build_parser"] + [a[0] for a in argvs]
-    assert [code for _, code, _ in steps] == [0] * len(steps)
-    assert [modules for _, _, modules in steps] == expected
-
-
-def test_parsing_does_not_load_json_or_datetime():
-    """`json` and `datetime` are loaded by the first report written, not by
-    importing the CLI and building its parser."""
-    script = """
-import sys
-def loaded():
-    return {name for name in sys.modules
-            if name.lstrip("_").split(".")[0] in ("json", "datetime")}
-bare = loaded()
-import rationalqm.cli as cli
-cli.build_parser()
-parsing = loaded() - bare
-cli.main(["niven", "--turns", "1/6", "--json", "-"])
-print(sorted(parsing), "json" in sys.modules, "datetime" in sys.modules)
-"""
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          encoding="utf-8", env=src_env(), timeout=60, check=True)
-    assert proc.stdout.splitlines()[-1] == "[] True True"
+    calls. `json` and `datetime` are loaded by the first report written, not
+    by importing the CLI, building its parser or a command without one."""
+    steps = probe(argvs, tmp_path)
+    assert [modules for _, _, modules, _ in steps] == [[]] + expected
+    first_json = next((i for i, argv in enumerate(argvs, 2) if "--json" in argv),
+                      len(steps))
+    reports = [sorted({"json", "datetime"} & set(loaded)) for _, _, _, loaded in steps]
+    assert reports == ([[]] * first_json
+                       + [["datetime", "json"]] * (len(steps) - first_json))
 
 
 def _stdlib_imports():
@@ -973,24 +931,11 @@ def _stdlib_imports():
     return sorted(names - {"typing"})
 
 
-LOAD_SCRIPT = """
-import contextlib, io, sys
-for name in sys.argv[1:]:
-    __import__(name)
-baseline = "typing" in sys.modules
-import rationalqm.cli as cli
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in ARGVS]
-print(codes, "pathlib" in sys.modules, baseline, "typing" in sys.modules)
-"""
-
-
 def test_no_command_loads_pathlib_or_typing(tmp_path):
-    """No command imports `pathlib` or `typing`. Run without `site` (-S),
-    since `site` may load either through a `.pth` file before any user code
-    runs. `typing` is checked against a baseline taken after importing the
-    standard library modules that src/ imports, so a Python whose standard
-    library loads `typing` itself fails nothing that src/ did."""
+    """No command imports `pathlib` or `typing`. `typing` is checked against
+    a baseline taken after importing the standard library modules that src/
+    imports, so a Python whose standard library loads `typing` itself fails
+    nothing that src/ did."""
     (tmp_path / "b.cfg").write_text("angles = 0,1/6,1/3\nL = 8\ntrials = 100\n"
                                     "seed = 1\n", encoding="utf-8")
     argvs = [
@@ -1004,17 +949,15 @@ def test_no_command_loads_pathlib_or_typing(tmp_path):
         ["mz", "--turns", "1/5"],
         ["delayed-choice", "--turns", "1/5", "--mirror", "in"],
         ["uncertainty", "--samples", "100", "--seed", "1"],
+        ["uncertainty", "--cosines", "0,3/5,4/5"],
         ["sg", "--cos-ab", "3/5", "--cos-bc", "3/5", "--phi-b", "1/2"],
         ["bell", "--config", "b.cfg", "--csv", "b.csv", "--json", "-"],
     ]
-    script = LOAD_SCRIPT.replace("ARGVS", repr(argvs))
-    proc = subprocess.run([sys.executable, "-S", "-c", script, *_stdlib_imports()],
-                          capture_output=True, encoding="utf-8", env=src_env(),
-                          cwd=tmp_path, timeout=60, check=True)
-    codes, pathlib, baseline, typing = proc.stdout.splitlines()[-1].rsplit(" ", 3)
-    assert codes == str([0] * len(argvs))
-    assert pathlib == "False"
-    assert typing == baseline
+    steps = probe(argvs, tmp_path, preload=_stdlib_imports())
+    baseline = "typing" in steps[0][3]
+    for name, _, _, loaded in steps:
+        assert "pathlib" not in loaded, name
+        assert ("typing" in loaded) == baseline, name
     assert sorted(f.name for f in tmp_path.iterdir()) == ["b.cfg", "b.csv",
                                                           "m.json", "s.csv"]
 

@@ -76,6 +76,15 @@ class TestIntegerPair:
         with pytest.raises(ValueError):
             to_integer_pair(())
 
+    def test_bad_entry_in_a_generator_names_the_whole_string(self):
+        with pytest.raises(ValueError) as info:
+            to_integer_pair(b for b in (1, 0, -1))
+        assert str(info.value) == "bit string entries must be +1 or -1, got (1, 0, -1)"
+
+    def test_unhashable_entry_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"got \(1, \[1\]\)"):
+            to_integer_pair((1, [1]))
+
 
 class TestReduction:
     def test_single_step_halves_both(self):
