@@ -403,9 +403,10 @@ def cmd_bell(args) -> tuple[object, list[str]]:
 def parse_config_file(path: str) -> dict[str, object]:
     """Plain-text key=value config: angles (comma-separated turn fractions),
     L, trials, seed. Blank lines and '#' comments ignored; a key may appear
-    only once. The file is read as UTF-8 whatever the locale."""
+    only once. The file is read as UTF-8 whatever the locale, and a leading
+    byte-order mark is skipped."""
     out: dict[str, object] = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         text = f.read()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

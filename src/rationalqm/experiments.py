@@ -161,7 +161,7 @@ def position_momentum_aggregate(M: int, seed: int) -> AggregateReport:
     """Sample M directions uniform in cos(theta) (so mean |cos| -> 1/2) and
     uniform in azimuth, then aggregate the deviation-product bound."""
     if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+        raise ValueError(f"samples must be >= 1, got {M}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = random.Random(seed)

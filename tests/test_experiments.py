@@ -334,20 +334,25 @@ class TestSnapping:
 
 class TestSternGerlach:
     """The swapped-order Stern-Gerlach world is definable exactly when the
-    impossible-triangle check finds a rational third cosine."""
+    impossible-triangle check finds a rational third cosine, and the Bell
+    sum is defined for a pair of settings exactly when that counterfactual
+    third setting is."""
 
-    def test_generic_settings_not_definable(self):
-        verdict = itc_verdict(Fraction(3, 5), Fraction(4, 5), angle("179/360"))
-        assert not verdict.possible
+    NIVEN_REASON = ("cos^2 of the interior angle is irrational, so the cross term "
+                    "cannot be rational")
 
-    def test_exceptional_settings_definable(self):
-        verdict = itc_verdict(Fraction(3, 5), Fraction(3, 5), angle("1/2"))
-        assert verdict.possible
-        assert verdict.third_side.rational == Fraction(-7, 25)
-
-    def test_degenerate(self):
-        verdict = itc_verdict(Fraction(1), Fraction(1, 3), angle("1/7"))
-        assert verdict.possible and verdict.reason == "degenerate"
+    @pytest.mark.parametrize("cos_ab,cos_bc,turns,possible,reason,third", [
+        ("3/5", "4/5", "179/360", False, NIVEN_REASON, None),
+        ("3/5", "4/5", "181/360", False, NIVEN_REASON, None),
+        ("3/5", "3/5", "1/2", True, "third side has rational cosine -7/25",
+         Fraction(-7, 25)),
+        ("1", "1/3", "1/7", True, "degenerate", Fraction(1, 3)),
+        ("1", "0", "1/5", True, "degenerate", Fraction(0)),
+    ])
+    def test_verdict(self, cos_ab, cos_bc, turns, possible, reason, third):
+        verdict = itc_verdict(Fraction(cos_ab), Fraction(cos_bc), angle(turns))
+        assert (verdict.possible, verdict.reason) == (possible, reason)
+        assert verdict.third_side.rational == third
 
     def test_cosines_range_checked_by_name(self):
         with pytest.raises(ValueError, match=r"\|cos_ab\| must be <= 1"):
@@ -545,20 +550,3 @@ class TestUniformPositionSum:
             assert (_singlet_product_sum(L, k, trials, bulk)
                     == reference_interval_sum(L, k, trials, loop))
             assert bulk.getstate() == loop.getstate()
-
-
-class TestBellSum:
-    """The Bell sum is defined for a pair of settings exactly when the
-    Stern-Gerlach counterfactual third setting is."""
-
-    def test_generic_settings_undefined(self):
-        verdict = itc_verdict(Fraction(3, 5), Fraction(4, 5), angle("181/360"))
-        assert not verdict.possible and verdict.reason != "degenerate"
-
-    def test_exceptional_settings_defined(self):
-        verdict = itc_verdict(Fraction(3, 5), Fraction(3, 5), angle("1/2"))
-        assert verdict.possible and verdict.reason != "degenerate"
-
-    def test_degenerate_settings(self):
-        verdict = itc_verdict(Fraction(1), Fraction(0), angle("1/5"))
-        assert verdict.possible and verdict.reason == "degenerate"
