@@ -8,14 +8,13 @@ always 'p/q' strings, never decimals.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import enum
 import os
-import re
 import sys
 from collections.abc import Callable
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .exact import (RationalAngle, exceptional_triangles, itc_verdict,
@@ -136,7 +135,7 @@ def _utf8_name(path: str) -> str:
     return os.fsencode(path).decode("utf-8", "surrogateescape")
 
 
-def build_manifest(args: argparse.Namespace, outputs: list[str]) -> dict[str, object]:
+def build_manifest(args: SimpleNamespace, outputs: list[str]) -> dict[str, object]:
     import datetime
     config = {k: v for k, v in vars(args).items()
               if k not in ("func", "json", "csv") and v is not None}
@@ -152,7 +151,7 @@ def build_manifest(args: argparse.Namespace, outputs: list[str]) -> dict[str, ob
     }
 
 
-def emit(args: argparse.Namespace, report: object, summary_lines: list[str]) -> None:
+def emit(args: SimpleNamespace, report: object, summary_lines: list[str]) -> None:
     outputs = [str(args.csv)] if getattr(args, "csv", None) else []
     if getattr(args, "json", None) is not None:
         chunks = json_chunks({
@@ -170,20 +169,8 @@ def emit(args: argparse.Namespace, report: object, summary_lines: list[str]) -> 
         print(line)
 
 
-def _argument_type(parse: Callable[[str], object]) -> Callable[[str], object]:
-    def convert(text: str) -> object:
-        try:
-            return parse(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return convert
-
-
-_frac, _int = _argument_type(parse_fraction), _argument_type(parse_integer)
-
-
 def _angle(text: str) -> RationalAngle:
-    return RationalAngle(_frac(text))
+    return RationalAngle(parse_fraction(text))
 
 
 def _angles(text: str) -> list[RationalAngle]:
@@ -191,20 +178,24 @@ def _angles(text: str) -> list[RationalAngle]:
     for part in text.split(","):
         angle = _angle(part)
         if angle in angles:  # turns are reduced mod 1
-            raise argparse.ArgumentTypeError(
-                f"angle {part} repeats {angle.turns} turns (mod 1)")
+            raise ValueError(f"angle {part} repeats {angle.turns} turns (mod 1)")
         angles.append(angle)
     return angles
 
 
 def _csv_path(text: str) -> str:
     if text in ("", "-"):
-        raise argparse.ArgumentTypeError(f"{text!r} is not accepted: CSV goes to "
-                                         "a file, never to stdout")
+        raise ValueError(f"{text!r} is not accepted: CSV goes to a file, never to stdout")
     return text
 
 
-def _check_distinct_outputs(args: argparse.Namespace) -> None:
+def _mirror(text: str) -> str:
+    if text not in ("in", "out"):
+        raise ValueError(f"invalid choice: {text!r} (choose from 'in', 'out')")
+    return text
+
+
+def _check_distinct_outputs(args: SimpleNamespace) -> None:
     """No two of --config, --csv and --json PATH may name one file: an output
     would overwrite the config that replays the run, or the JSON report the
     CSV that its manifest lists as an output. Two existing paths are
@@ -367,12 +358,11 @@ def cmd_sg(args) -> tuple[object, list[str]]:
 
 def cmd_bell(args) -> tuple[object, list[str]]:
     from .experiments import bell_run
-    overrides = parse_config_file(args.config) if args.config else {}
-    for key, value in overrides.items():  # a flag given on the command line wins
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-    missing = [k for k in ("angles", "L", "trials", "seed") if getattr(args, k) is None]
-    if missing:
+    if args.config:  # a flag given on the command line wins
+        for key, value in parse_config_file(args.config).items():
+            if getattr(args, key) is None:
+                setattr(args, key, value)
+    if missing := [k for k in _BELL_SETTINGS if getattr(args, k) is None]:
         raise ValueError(f"bell needs {', '.join(missing)} via flags or --config")
     angles = [parse_fraction(t) for t in args.angles.split(",")]
     if len(angles) != 3:
@@ -401,10 +391,11 @@ def cmd_bell(args) -> tuple[object, list[str]]:
 
 
 def parse_config_file(path: str) -> dict[str, object]:
-    """Plain-text key=value config: angles (comma-separated turn fractions),
-    L, trials, seed. Blank lines and '#' comments ignored; a key may appear
-    only once. The file is read as UTF-8 whatever the locale, and a leading
-    byte-order mark is skipped."""
+    """Plain-text key=value config: its keys, `_BELL_SETTINGS`, are the bell
+    flags but the two that name files (angles, L, trials, seed), without
+    '--', and each value is read by its flag's parser. Blank lines and '#'
+    comments ignored; a key may appear only once. The file is read as UTF-8
+    whatever the locale, and a leading byte-order mark is skipped."""
     out: dict[str, object] = {}
     with open(path, encoding="utf-8-sig") as f:
         text = f.read()
@@ -415,122 +406,130 @@ def parse_config_file(path: str) -> dict[str, object]:
         if "=" not in line:
             raise ValueError(f"bad config line (expected key=value): {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in ("L", "trials", "seed"):
-            value = parse_integer(value)
-        elif key != "angles":
+        if key not in _BELL_SETTINGS:
             raise ValueError(f"unknown config key {key!r}")
+        value = _BELL_SETTINGS[key](value)
         if key in out:
             raise ValueError(f"config key {key!r} is given twice")
         out[key] = value
     return out
 
 
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
-
-# argparse takes an argument starting with '-' for an option unless it looks
-# like a negative number ('-digits' or a decimal); widen that test to 'p/q'
-# and comma-separated fractions, so '--cos-ab -1/3' parses as a value.
-_NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?(,[-+]?\d+(/\d+)?)*$|^-\d*\.\d+$")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rationalqm",
-        description="Exact-arithmetic simulator on the discretised sphere")
-    parser._negative_number_matcher = _NEGATIVE_VALUE
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p._negative_number_matcher = _NEGATIVE_VALUE
-        p.set_defaults(func=func)
-        p.add_argument("--json", nargs="?", const="-", default=None,
-                       metavar="PATH", help="write JSON report (default stdout)")
-        return p
-
-    p = add("sphere", cmd_sphere, "enumerate the lattice at granularity L")
-    p.add_argument("--L", type=_int, required=True)
-    p.add_argument("--csv", metavar="PATH", type=_csv_path)
-
-    p = add("niven", cmd_niven, "classify cos of a rational-turn angle")
-    p.add_argument("--turns", type=_angle, required=True)
-
-    p = add("itc", cmd_itc, "impossible-triangle verdict")
-    p.add_argument("--cos-ab", dest="cos_ab", type=_frac, required=True)
-    p.add_argument("--cos-bc", dest="cos_bc", type=_frac, required=True)
-    p.add_argument("--turns", type=_angle, required=True,
-                   help="interior angle as a fraction of a turn")
-
-    p = add("scan-exceptions", cmd_scan_exceptions,
-            "list triangles whose third side is rational only by exception")
-    p.add_argument("--max-den", dest="max_den", type=_int, default=12,
-                   help="largest denominator for the side cosines")
-    p.add_argument("--turns", type=_angles, default="1/8,3/8,1/12,5/12",
-                   help="comma-separated interior angles in turns")
-
-    p = add("state", cmd_state, "dump a state as bit strings")
-    form = p.add_mutually_exclusive_group(required=True)
-    form.add_argument("--m", type=_int, default=None)
-    p.add_argument("--n", type=_int, default=0)
-    p.add_argument("--L", type=_int, required=True)
-    p.add_argument("--seed", type=_int, required=True)
-    form.add_argument("--singlet-cos", dest="singlet_cos", type=_frac, default=None,
-                      help="dump a two-qubit singlet at this cos theta_AB instead")
-
-    p = add("measure", cmd_measure, "run the halving measurement dynamics")
-    p.add_argument("--m", type=_int, required=True)
-    p.add_argument("--n", type=_int, default=0)
-    p.add_argument("--L", type=_int, required=True)
-    p.add_argument("--seed", type=_int, required=True)
-
-    p = add("mz", cmd_mz, "interferometer definability report")
-    p.add_argument("--turns", type=_angle, required=True)
-
-    p = add("delayed-choice", cmd_delayed_choice,
-            "which rationality condition the configuration demands")
-    p.add_argument("--turns", type=_angle, required=True)
-    p.add_argument("--mirror", choices=("in", "out"), required=True)
-
-    p = add("uncertainty", cmd_uncertainty, "deviation-product inequality")
-    form = p.add_mutually_exclusive_group(required=True)
-    form.add_argument("--cosines", default=None,
-                      help="three direction cosines, comma separated")
-    form.add_argument("--samples", type=_int, default=None)
-    p.add_argument("--seed", type=_int, default=0)
-
-    p = add("sg", cmd_sg, "counterfactual swapped-order definability")
-    p.add_argument("--cos-ab", dest="cos_ab", type=_frac, required=True)
-    p.add_argument("--cos-bc", dest="cos_bc", type=_frac, required=True)
-    p.add_argument("--phi-b", dest="phi_b", type=_angle, required=True)
-
-    p = add("bell", cmd_bell, "three-correlation Bell harness")
-    p.add_argument("--angles", default=None,
-                   help="three nominal directions as turn fractions, e.g. 0,1/6,1/3")
-    p.add_argument("--L", type=_int, default=None)
-    p.add_argument("--trials", type=_int, default=None)
-    p.add_argument("--seed", type=_int, default=None)
-    p.add_argument("--config", metavar="PATH",
-                   help="key=value config file (angles, L, trials, seed)")
-    p.add_argument("--csv", metavar="PATH", type=_csv_path)
-
-    return parser
+def build_parser() -> dict[str, tuple]:
+    """The command table: each command's function, its one-line description,
+    the flags of which exactly one must be given, and its flags. A flag maps
+    to its parser, which refuses a value with ValueError, and its default,
+    or `...` if it must be given. `parse_args` adds `--json [PATH]`."""
+    integer, fraction = parse_integer, parse_fraction
+    return {
+        "sphere": (cmd_sphere, "enumerate the lattice at granularity L", (), {
+            "--L": (integer, ...), "--csv": (_csv_path, None)}),
+        "niven": (cmd_niven, "classify cos of a rational-turn angle", (), {
+            "--turns": (_angle, ...)}),
+        "itc": (cmd_itc, "impossible-triangle verdict", (), {
+            "--cos-ab": (fraction, ...), "--cos-bc": (fraction, ...),
+            "--turns": (_angle, ...)}),
+        "scan-exceptions": (cmd_scan_exceptions, "list triangles whose third side is "
+                            "rational only by exception", (), {
+            "--max-den": (integer, 12),
+            "--turns": (_angles, _angles("1/8,3/8,1/12,5/12"))}),
+        "state": (cmd_state, "dump a state as bit strings", ("--m", "--singlet-cos"), {
+            "--m": (integer, None), "--n": (integer, 0), "--L": (integer, ...),
+            "--seed": (integer, ...), "--singlet-cos": (fraction, None)}),
+        "measure": (cmd_measure, "run the halving measurement dynamics", (), {
+            "--m": (integer, ...), "--n": (integer, 0), "--L": (integer, ...),
+            "--seed": (integer, ...)}),
+        "mz": (cmd_mz, "interferometer definability report", (), {
+            "--turns": (_angle, ...)}),
+        "delayed-choice": (cmd_delayed_choice, "which rationality condition the "
+                           "configuration demands", (), {
+            "--turns": (_angle, ...), "--mirror": (_mirror, ...)}),
+        "uncertainty": (cmd_uncertainty, "deviation-product inequality",
+                        ("--cosines", "--samples"), {
+            "--cosines": (str, None), "--samples": (integer, None),
+            "--seed": (integer, 0)}),
+        "sg": (cmd_sg, "counterfactual swapped-order definability", (), {
+            "--cos-ab": (fraction, ...), "--cos-bc": (fraction, ...),
+            "--phi-b": (_angle, ...)}),
+        "bell": (cmd_bell, "three-correlation Bell harness", (), {
+            "--angles": (str, None), "--L": (integer, None), "--trials": (integer, None),
+            "--seed": (integer, None), "--config": (str, None),
+            "--csv": (_csv_path, None)}),
+    }
 
 
-# Built on the first call to main and reused: parse_args keeps no state
-# between calls, since each call returns a fresh Namespace.
-_parser: argparse.ArgumentParser | None = None
+_BELL_SETTINGS = {flag[2:]: parse for flag, (parse, _) in build_parser()["bell"][3].items()
+                  if flag not in ("--config", "--csv")}
+
+
+def _synopsis(command: str, flags: dict[str, tuple]) -> str:
+    """A command's usage: each flag that must be given bare, any other in brackets."""
+    words = [command, "[--json [PATH]]"]
+    for flag, (_, default) in flags.items():
+        spelled = f"{flag} {flag[2:].upper().replace('-', '_')}"
+        words.append(spelled if default is ... else f"[{spelled}]")
+    return " ".join(words)
+
+
+def parse_args(table: dict[str, tuple], argv: list[str]) -> SimpleNamespace | int:
+    """`argv` read against the command table: `command`, `func`, and each flag's
+    value or default, named without '--' and with '_' for '-'. A refusal prints
+    the usage and one error line to stderr and gives 2; `--help` gives 0."""
+    usage, prog = f"rationalqm [--help] {{{','.join(table)}}} ...", "rationalqm"
+    if "--help" in argv:
+        print(f"usage: {usage}\n\ncommands and their flags:")
+        for name, (_, description, _, flags) in table.items():
+            print(f"  {_synopsis(name, flags)}\n      {description}")
+        return 0
+    try:
+        if not argv:
+            raise ValueError("the following arguments are required: command")
+        command, words = argv[0], argv[:0:-1]  # the rest reversed: pop() reads a word
+        if command not in table:
+            raise ValueError(f"argument command: invalid choice: {command!r} "
+                             f"(choose from {', '.join(map(repr, table))})")
+        func, _, one_of, flags = table[command]
+        usage, prog = f"rationalqm {_synopsis(command, flags)}", f"rationalqm {command}"
+        flags = {**flags, "--json": (str, None)}
+        values, unknown = {}, []
+        while words:
+            word = words.pop()
+            flag, eq, value = word.partition("=")  # every flag starts with '--'
+            if flag not in flags:
+                unknown.append(word)
+                continue
+            try:
+                if flag in values:
+                    raise ValueError("given twice")
+                if not eq:  # a word that starts with '--' is never a value
+                    if words and not words[-1].startswith("--"):
+                        value = words.pop()
+                    elif flag == "--json":
+                        value = "-"  # stdout
+                    else:
+                        raise ValueError("expected one argument")
+                if rivals := [f for f in one_of if f in values and flag in one_of]:
+                    raise ValueError(f"not allowed with argument {rivals[0]}")
+                values[flag] = flags[flag][0](value)
+            except ValueError as exc:
+                raise ValueError(f"argument {flag}: {exc}") from None
+        if missing := [f for f in flags if flags[f][1] is ... and f not in values]:
+            raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+        if one_of and not any(f in values for f in one_of):
+            raise ValueError(f"one of the arguments {' '.join(one_of)} is required")
+        if unknown:
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+    except ValueError as exc:
+        print(f"usage: {usage}\n{prog}: error: {exc}", file=sys.stderr)
+        return 2
+    return SimpleNamespace(command=command, func=func, **{
+        flag[2:].replace("-", "_"): values.get(flag, d) for flag, (_, d) in flags.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    try:
-        args = _parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = parse_args(build_parser(), sys.argv[1:] if argv is None else argv)
+    if isinstance(args, int):  # refused, or help printed
+        return args
     try:
         _check_distinct_outputs(args)
         report, lines = args.func(args)

@@ -152,14 +152,14 @@ GOLDEN = {
     'scan-exceptions-turns': (0, '89eeabb1a78573c7', '', {}),
     'sg': (0, 'c7a52e3c51a93df2', '', {}),
     'sg-degenerate': (0, '76a6e7ae1533ec9b', '', {}),
-    'sphere-L-separator': (2, '', 'dd7bfb0adc47411f', {}),
+    'sphere-L-separator': (2, '', 'f7ae39e8c1f908ac', {}),
     'sphere-L1': (0, 'b36f12841258eabf', '', {}),
     'sphere-L4-escaped-csv-name': (0, 'e7b0807867030806', '', {'dé"j.csv': '3b72d7a5989c152b'}),
     'sphere-L4-csv': (0, 'bcae915aff713e63', '', {'sphere.csv': '3b72d7a5989c152b'}),
     'sphere-L64': (0, '9e1f7597ee824fdb', '', {'sphere.json': 'f7f0efd28d961139'}),
     'state-pole': (0, '427dba3063dbf93a', '', {}),
     'state-qubit': (0, 'b1a66982df4337c2', '', {}),
-    'state-seed-arabic-digit': (2, '', '0658668e08650311', {}),
+    'state-seed-arabic-digit': (2, '', '54c2260cc265d9d2', {}),
     'state-singlet-L360': (0, 'f54af0e94145ead3', '', {'state.json': 'db3fd91a773d1696'}),
     'state-singlet-L360-stdout': (0, '16b4ff43a1a0332f', '', {}),
     'state-singlet-L8': (0, 'be5d0cb3e7329bcf', '', {}),

@@ -18,19 +18,13 @@ from rationalqm.lattice import PNO, LatticePoint
 from rationalqm.reduction import IntegerPair, to_integer_pair
 from rationalqm.states import make_qubit
 
+from cli_stdout import json_stdout
+
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def json_stdout(out):
-    """A `--json -` run's stdout as (its JSON payload, the summary lines after
-    it). The JSON comes first, and only its newline and whole lines follow."""
-    payload, end = json.JSONDecoder().raw_decode(out)
-    assert out[end:end + 1] == "\n" and out.endswith("\n")
-    return payload, out[end + 1:].splitlines()
 
 
 def reference_measure_report(m, n, L, seed):
@@ -250,8 +244,9 @@ def refusal(row_id, command, last_line, code=2, fixtures=None):
 
 
 def error_line(command, message):
-    """The last stderr line for `message` about the `{}` in `command`: argparse
-    names the flag of a value it parses, not of a list element it does not."""
+    """The last stderr line for `message` about the `{}` in `command`: the
+    reader names the flag of a value it parses, not of a list element it does
+    not."""
     words = command.split()
     if "{}" not in words:
         return f"error: {message}"
@@ -266,7 +261,24 @@ REFUSALS = [
     refusal("missing-turns", "niven --nope",
             "rationalqm niven: error: the following arguments are required: --turns"),
     refusal("bad-flag", "niven --turns 1/6 --nope",
-            "rationalqm: error: unrecognized arguments: --nope"),
+            "rationalqm niven: error: unrecognized arguments: --nope"),
+    refusal("no-command", "", "rationalqm: error: the following arguments are required: "
+            "command"),
+    refusal("unknown-command", "nope", "rationalqm: error: argument command: invalid choice: "
+            "'nope' (choose from 'sphere', 'niven', 'itc', 'scan-exceptions', 'state', "
+            "'measure', 'mz', 'delayed-choice', 'uncertainty', 'sg', 'bell')"),
+    # a word that starts with '--' is never a value
+    refusal("csv-without-path", "sphere --L 2 --csv --json",
+            "rationalqm sphere: error: argument --csv: expected one argument"),
+    # keeping the last value would run a setting that another word contradicts
+    refusal("flag-twice", "niven --turns 1/6 --turns 1/5",
+            "rationalqm niven: error: argument --turns: given twice"),
+    # flags are matched by their whole name, never by a prefix
+    refusal("flag-prefix", "scan-exceptions --max 3",
+            "rationalqm scan-exceptions: error: unrecognized arguments: --max 3"),
+    refusal("mirror-sideways", "delayed-choice --turns 1/5 --mirror sideways",
+            "rationalqm delayed-choice: error: argument --mirror: invalid choice: "
+            "'sideways' (choose from 'in', 'out')"),
     refusal("bell-missing-parameters", "bell --angles 0,1/6,1/3",
             "error: bell needs L, trials, seed via flags or --config"),
     refusal("state-neither-form", "state --L 4 --seed 1",
@@ -432,7 +444,7 @@ class TestExitCodes:
         lines = err.splitlines()
         assert (got, out, lines[-1]) == (code, "", last_line)
         assert "Traceback" not in err
-        # main prints its error alone, and argparse prints its usage first
+        # main prints its error alone, and the argv reader its usage line first
         assert lines[0].startswith("usage: rationalqm" if len(lines) > 1 else "error: ")
         assert snapshot(tmp_path) == before
 
@@ -440,7 +452,6 @@ class TestExitCodes:
         def fail(args):
             raise ValueError("plain failure")
         monkeypatch.setattr(cli, "cmd_niven", fail)
-        monkeypatch.setattr(cli, "_parser", None)  # rebuilt with the patched command
         code, out, err = run(capsys, "niven", "--turns", "1/6")
         assert (code, out, err) == (2, "", "error: plain failure\n")
 
@@ -663,13 +674,14 @@ def run_masked(capsys, *argv):
     return code, _TIMESTAMP.sub('"timestamp": ""', out), err
 
 
-class TestParserReuse:
-    """main builds its parser once per process; every call must behave as
-    if the parser were new."""
+class TestCallsAreIndependent:
+    """main keeps no state from one call to the next in a process: every argv
+    gives the same outcome after all the others as before them."""
 
     ARGVS = [
         ("niven", "--turns", "1/6", "--json", "-"),
-        ("niven", "--nope"),                                         # argparse error
+        ("niven", "--nope"),                                         # refused by the reader
+        ("niven", "--turns", "1/6", "--turns", "1/5"),               # given twice
         ("niven", "--turns", "1/5", "--json", "-"),
         ("state", "--singlet-cos", "1/2", "--L", "8", "--seed", "1", "--json", "-"),
         ("state", "--L", "4", "--seed", "1"),                        # ValueError
@@ -696,20 +708,16 @@ class TestParserReuse:
         ("niven", "--turns", "1/6", "--json", "-"),
     ]
 
-    def test_cached_parser_matches_fresh_parser(self, capsys, tmp_path, monkeypatch):
+    def test_outcome_does_not_depend_on_earlier_calls(self, capsys, tmp_path):
         cfg = tmp_path / "bell.cfg"
         cfg.write_text("angles = 0,1/6,1/3\nL = 360\ntrials = 500\nseed = 4\n",
                        encoding="utf-8")
         argvs = [[a.format(cfg=cfg) for a in argv] for argv in self.ARGVS]
-        monkeypatch.setattr(cli, "_parser", None)
-        cached = [run_masked(capsys, *argvs[0])]
-        parser = cli._parser
-        cached += [run_masked(capsys, *argv) for argv in argvs[1:]]
-        assert parser is not None and cli._parser is parser
-        assert {code for code, _, _ in cached} == {0, 2, 3}
-        for argv, got in zip(argvs, cached):
-            monkeypatch.setattr(cli, "_parser", None)
-            assert got == run_masked(capsys, *argv), argv
+        forward = [run_masked(capsys, *argv) for argv in argvs]
+        backward = [run_masked(capsys, *argv) for argv in reversed(argvs)]
+        assert {code for code, _, _ in forward} == {0, 2, 3}
+        for argv, got, again in zip(argvs, forward, reversed(backward)):
+            assert got == again, argv
 
 
 def src_env():

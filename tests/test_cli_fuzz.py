@@ -1,18 +1,20 @@
 """Property test of the CLI contract: for any argv built from the flags of a
 subcommand, `main` exits 0, 2 or 3 without raising, a successful run's
-`--json -` output parses, and `--csv -` never leaves a file named '-'.
-Sizes stay small (L <= 32, trials <= 1000, scan-exceptions --max-den <= 4);
-how the commands behave in memory at huge L is not covered here."""
+`--json -` output parses, and `--csv -` never leaves a file named '-'. Each
+command draws every flag of its row in the command table. Sizes stay small
+(L <= 32, trials <= 1000, scan-exceptions --max-den <= 4); how the commands
+behave in memory at huge L is not covered here."""
 
 import contextlib
 import io
-import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rationalqm.cli import main
+from rationalqm.cli import build_parser, main
+
+from cli_stdout import json_stdout
 
 
 def p_over_q(f):
@@ -30,11 +32,11 @@ bad_value = st.sampled_from(["1/0", "0.5", "-0.5", "1e-1", "1_0", "x", "", "-",
 
 
 @st.composite
-def flag_values(draw, flags, bad):
-    """A valid flag set drawn from `flags` (a strategy for a dict of flag to
-    value), then, one time in two, one flag dropped or given a value drawn
-    from `bad`."""
-    options = draw(flags)
+def flag_values(draw, forms, bad):
+    """A valid flag set drawn from one of `forms` (dicts of flag to value
+    strategy), then, one time in two, one flag dropped or given a value
+    drawn from `bad`."""
+    options = draw(st.one_of([st.fixed_dictionaries(form) for form in forms]))
     names = sorted(options)
     change = draw(st.sampled_from(["none", "none", "drop", "bad"]))
     if change != "none":
@@ -54,42 +56,41 @@ def unit_vector(a, b):
     return ",".join(p_over_q(c) for c in (2 * a / r, 2 * b / r, (r - 2) / r))
 
 
-@st.composite
-def lattice_point(draw):
-    L = draw(st.integers(1, 32))
-    return {"--L": L, "--m": draw(st.integers(0, L)),
-            "--n": draw(st.integers(0, L - 1)), "--seed": draw(seed)}
+# One L per example, so that m and n are drawn within it.
+lattice_L = st.shared(st.integers(1, 32), key="L")
+lattice_point = {"--L": lattice_L,
+                 "--m": lattice_L.flatmap(lambda L: st.integers(0, L)),
+                 "--n": lattice_L.flatmap(lambda L: st.integers(0, L - 1)),
+                 "--seed": seed}
+BELL_CONFIG = "angles = 0,1/6,1/3\nL = 8\ntrials = 100\nseed = 1\n"
 
-
-def fixed(**options):
-    return st.fixed_dictionaries(options)
-
-
+# Each command's forms: the flag sets of a valid run.
 COMMANDS = {
-    "sphere": fixed(**{"--L": st.integers(1, 32),
-                       "--csv": st.sampled_from(["sphere.csv", "-"])}),
-    "niven": fixed(**{"--turns": turns}),
-    "itc": fixed(**{"--cos-ab": cosine, "--cos-bc": cosine, "--turns": turns}),
-    "state": st.one_of(
-        lattice_point(),
-        fixed(**{"--singlet-cos": cosine, "--L": even_L, "--seed": seed})),
-    "measure": lattice_point(),
-    "mz": fixed(**{"--turns": turns}),
-    "delayed-choice": fixed(**{"--turns": turns,
-                               "--mirror": st.sampled_from(["in", "out"])}),
-    "uncertainty": st.one_of(
-        fixed(**{"--cosines": st.builds(unit_vector, plane, plane)}),
-        fixed(**{"--samples": st.integers(1, 1000), "--seed": seed})),
-    "sg": fixed(**{"--cos-ab": cosine, "--cos-bc": cosine, "--phi-b": turns}),
-    "scan-exceptions": fixed(**{"--max-den": st.integers(-1, 4),
-                                "--turns": st.lists(turns, min_size=1, max_size=3)
-                                .map(",".join)}),
-    "bell": fixed(**{"--angles": st.lists(turns, min_size=3, max_size=3)
-                     .map(",".join),
-                     "--L": even_L, "--trials": st.integers(100, 1000),
-                     "--seed": seed,
-                     "--csv": st.sampled_from(["bell.csv", "-"])}),
+    "sphere": [{"--L": st.integers(1, 32), "--csv": st.sampled_from(["sphere.csv", "-"])}],
+    "niven": [{"--turns": turns}],
+    "itc": [{"--cos-ab": cosine, "--cos-bc": cosine, "--turns": turns}],
+    "state": [lattice_point, {"--singlet-cos": cosine, "--L": even_L, "--seed": seed}],
+    "measure": [lattice_point],
+    "mz": [{"--turns": turns}],
+    "delayed-choice": [{"--turns": turns, "--mirror": st.sampled_from(["in", "out"])}],
+    "uncertainty": [{"--cosines": st.builds(unit_vector, plane, plane)},
+                    {"--samples": st.integers(1, 1000), "--seed": seed}],
+    "sg": [{"--cos-ab": cosine, "--cos-bc": cosine, "--phi-b": turns}],
+    "scan-exceptions": [{"--max-den": st.integers(-1, 4),
+                         "--turns": st.lists(turns, min_size=1, max_size=3).map(",".join)}],
+    # the config holds every setting, so a run that drops a flag reads it there
+    "bell": [{"--angles": st.lists(turns, min_size=3, max_size=3).map(",".join),
+              "--L": even_L, "--trials": st.integers(100, 1000), "--seed": seed,
+              "--config": st.just("bell.cfg"),
+              "--csv": st.sampled_from(["bell.csv", "-"])}],
 }
+
+
+def test_each_command_draws_the_flags_of_its_table_row():
+    """A flag added to the command table is fuzzed as soon as it is added.
+    `--json`, which the reader adds to every command, is in every argv."""
+    assert {command: set().union(*forms) for command, forms in COMMANDS.items()} == {
+        command: set(flags) for command, (_, _, _, flags) in build_parser().items()}
 
 
 # A bad value that is too big for a flag's size cap is left out there.
@@ -99,6 +100,7 @@ BAD_VALUES = {"scan-exceptions": bad_value.filter(lambda v: v != "33")}
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_main_keeps_its_contract(command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # where --csv writes, whatever its value
+    (tmp_path / "bell.cfg").write_text(BELL_CONFIG, encoding="utf-8")
 
     @settings(max_examples=40, deadline=None)
     @given(flag_values(COMMANDS[command], BAD_VALUES.get(command, bad_value)))
@@ -109,7 +111,7 @@ def test_main_keeps_its_contract(command, tmp_path, monkeypatch):
             code = main(argv)
         assert code in (0, 2, 3), (argv, err.getvalue())
         if code == 0:
-            payload, _ = json.JSONDecoder().raw_decode(out.getvalue())
+            payload, _ = json_stdout(out.getvalue())
             assert payload["manifest"]["command"] == command
         else:
             assert err.getvalue(), argv

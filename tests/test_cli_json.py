@@ -2,13 +2,13 @@
 sort_keys=True, default=to_jsonable)` writes, the writer calls `to_jsonable`
 on the same values, and no piece of a report grows with the report."""
 
-import argparse
 import dataclasses
 import enum
 import gc
 import json
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Any
 from unittest import mock
 
@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 from rationalqm import cli
 from rationalqm.cli import json_chunks, to_jsonable
+
+from cli_stdout import json_stdout
 
 
 class Kind(str, enum.Enum):
@@ -138,8 +140,8 @@ def test_measure_report_is_json_dumps(capsys):
     assert cli.main(["measure", "--m", "300", "--n", "17", "--L", "1024",
                      "--seed", "5", "--json", "-"]) == 0
     out = capsys.readouterr().out
-    payload, end = json.JSONDecoder().raw_decode(out)
-    assert out[:end] == dumps(payload)
+    payload, _ = json_stdout(out)
+    assert out.startswith(dumps(payload) + "\n")
     assert len(payload["report"]["trace"]) == len(payload["report"]["string"]) == 1024
 
 
@@ -181,7 +183,7 @@ def test_measure_report_pieces_are_bounded(tmp_path, capsys):
 
 def test_unserialisable_report_leaves_no_file(tmp_path):
     path = tmp_path / "r.json"
-    args = argparse.Namespace(command="measure", json=str(path))
+    args = SimpleNamespace(command="measure", json=str(path))
     with pytest.raises(TypeError, match="set is not JSON serialisable"):
         cli.emit(args, {"trace": ["01.-10."] * 200, "bad": {1, 2}}, [])
     assert not path.exists()
@@ -191,7 +193,7 @@ def test_unserialisable_report_leaves_no_file(tmp_path):
 def test_measure_report_with_its_trace_is_json_dumps(L):
     """`to_jsonable` expands a `measure` trace to its steps, so json.dumps
     writes the report as `json_chunks` does."""
-    report, _ = cli.cmd_measure(argparse.Namespace(m=L // 2, n=L // 3, L=L, seed=5))
+    report, _ = cli.cmd_measure(SimpleNamespace(m=L // 2, n=L // 3, L=L, seed=5))
     payload = {"schema_version": cli.SCHEMA_VERSION, "report": report}
     assert isinstance(report["trace"], cli._HalvingTrace)
     assert to_json(payload) == dumps(payload)

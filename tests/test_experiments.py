@@ -7,7 +7,7 @@ import mpmath
 import pytest
 
 from rationalqm import experiments, states
-from rationalqm.cli import build_parser
+from rationalqm.cli import build_parser, parse_args
 from rationalqm.exact import (RationalAngle, itc_verdict, niven_cosine,
                               parse_fraction)
 from rationalqm.experiments import (_pair_seed, _singlet_product_sum,
@@ -100,8 +100,8 @@ class TestMachZehnder:
 
 def delayed_choice(turns, mirror):
     """The report of `rationalqm delayed-choice --turns TURNS --mirror MIRROR`."""
-    args = build_parser().parse_args(["delayed-choice", "--turns", str(turns),
-                                      "--mirror", mirror])
+    args = parse_args(build_parser(), ["delayed-choice", "--turns", str(turns),
+                                       "--mirror", mirror])
     report, _ = args.func(args)
     return report
 

@@ -2,8 +2,8 @@
 angle; the plain double loop over every pair of sides and every angle is the
 reference. `scan-exceptions` only lists what the generator yields."""
 
-from argparse import Namespace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -91,7 +91,7 @@ def test_an_angle_with_irrational_cos_squared_adds_nothing(irrational, max_den):
 
 def test_the_command_lists_what_the_generator_yields():
     turns = angles(TURN_SETS["default"])
-    report, lines = cmd_scan_exceptions(Namespace(max_den=12, turns=turns))
+    report, lines = cmd_scan_exceptions(SimpleNamespace(max_den=12, turns=turns))
     expected = reference_scan(12, turns)
     assert len(expected) == 496
     assert report == {"max_den": 12, "triangles": [

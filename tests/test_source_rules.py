@@ -2,8 +2,9 @@
 because `python -O` strips `assert` statements; every public name, method and
 property in `src/` is there for the program, not only for its unit tests, and
 every private module-level name is used in `src/`; no module imports
-mpmath, which only the tests use as an oracle, or typing, since built-in
-annotations need no import at run time; and `__main__.py` is the only module
+mpmath, which only the tests use as an oracle, typing, since built-in
+annotations need no import at run time, or argparse, since the CLI reads
+argv against its own command table; and `__main__.py` is the only module
 that runs as a script."""
 
 import ast
@@ -196,7 +197,7 @@ def _imports(node: ast.AST, module: str) -> bool:
             and node.module.split(".")[0] == module)
 
 
-@pytest.mark.parametrize("module", ["mpmath", "typing"])
+@pytest.mark.parametrize("module", ["argparse", "mpmath", "typing"])
 def test_no_module_imports(module):
     # ast.walk reaches imports inside functions and TYPE_CHECKING blocks too
     importers = {path.name for path in sorted(PACKAGE.rglob("*.py"))
